@@ -1,67 +1,91 @@
-"""Command-line entry points. Each subcommand wraps one pipeline stage;
-`pipeline` chains them all with one resolved, reproducible configuration."""
+"""Command-line entry points. Each stage subcommand runs the pipeline's own
+stage functions (see pipeline.STAGES) on the inputs it is given; `pipeline`
+chains them all. Settings resolve the same way everywhere: defaults, then
+--config, then $MOBGRAPH_THREADS for threads, then flags, and every setting
+flag is generated from a PipelineConfig field."""
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
-from . import cliques as cliques_mod
-from . import cluster as cluster_mod
 from . import embed as embed_mod
-from . import gexf as gexf_mod
 from . import ingest as ingest_mod
+from . import pipeline
 from . import reduce as reduce_mod
 from . import synth as synth_mod
-from . import wl as wl_mod
 from .errors import MobgraphError
+from .textio import write_json
 from .pipeline import (
+    CHOICES,
+    CONFIG_FIELDS,
     PipelineConfig,
-    compute_clustering,
+    RunState,
     load_config_file,
     resolve_config,
     run_pipeline,
 )
 
 THREADS_ENV = "MOBGRAPH_THREADS"
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
 
-# flag name -> PipelineConfig field, shared by `pipeline` and reused defaults
-OVERRIDE_FIELDS = {
-    "seed": "seed",
-    "input": "input",
-    "out": "out",
-    "format": "format",
-    "threads": "threads",
-    "wl_iterations": "wl_iterations",
-    "dim": "dim",
-    "lr": "lr",
-    "min_count": "min_count",
-    "umap_neighbors": "umap_neighbors",
-    "umap_min_dist": "umap_min_dist",
-    "umap_components": "umap_components",
-    "clique_min_size": "clique_min_size",
-    "min_shared_videos": "min_shared_videos",
-    "cluster_space": "cluster_space",
+# Stage subcommand -> the pipeline steps it runs, in order. Its flags are
+# the config fields those steps read.
+STEPS = {
+    "ingest": (pipeline.read_comments,),
+    "graphs": (pipeline.read_comments, pipeline.build_graphs, pipeline.write_graphs),
+    "embed": (pipeline.read_comments, pipeline.build_graphs,
+              pipeline.extract_documents, pipeline.embed_documents),
+    "reduce": (pipeline.reduce_points,),
+    "cluster": (pipeline.cluster_points,),
+    "cliques": (pipeline.read_comments, pipeline.build_graphs, pipeline.count_cliques),
 }
 
 
-def _env_threads() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise MobgraphError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+def add_config_flags(parser: argparse.ArgumentParser, names) -> None:
+    """--config, and one --kebab-case flag per named PipelineConfig field,
+    typed from the field's annotation text. Every default is None, so an
+    unset flag leaves the config file or the field default in force."""
+    parser.add_argument("--config", default=None, help="JSON config file")
+    for name in names:
+        spec = CONFIG_FIELDS[name]
+        flag = "--" + name.replace("_", "-")
+        if spec.type == "bool":
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction,
+                                default=None, help=f"default: {spec.default}")
+        else:
+            parser.add_argument(flag, type=_FLAG_TYPES[spec.type.split(" | ")[0]],
+                                choices=CHOICES.get(name), default=None,
+                                help=f"default: {spec.default}")
 
 
-def _add_io(parser: argparse.ArgumentParser, need_input: bool = True) -> None:
-    if need_input:
-        parser.add_argument("--input", required=True, help="input file path")
-    parser.add_argument("--out", default="out", help="output directory")
+def _add_stage(sub, name: str, func, help: str, input_help: str | None = None):
+    """A stage subcommand: --input, --out, and the flags of the config fields
+    its steps read. --input names the comment table unless input_help says
+    otherwise; it then lands in `args.artifact`, not in the config."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    if input_help is None:
+        p.add_argument("--input", required=True, help="comment table path")
+    else:
+        p.add_argument("--input", dest="artifact", required=True, help=input_help)
+    if name != "ingest":
+        p.add_argument("--out", default=None, help="output directory")
+    add_config_flags(p, pipeline.fields_read(STEPS[name]))
+    return p
+
+
+def _synth_params() -> dict[str, inspect.Parameter]:
+    """two_family_config's parameters, keyed by their synth flag's dest."""
+    short = {"n_channels": "channels", "videos_per_channel": "videos",
+             "organic_commenters": "organic"}
+    params = inspect.signature(synth_mod.two_family_config).parameters.values()
+    return {short.get(p.name, p.name): p for p in params}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,92 +99,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse and validate a comment table")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["csv", "json-lines"], default="csv")
+    p = _add_stage(sub, "ingest", cmd_ingest, "parse and validate a comment table")
     p.add_argument("--strict", action="store_true",
                    help="error on duplicate comment ids instead of dropping them")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("graphs", help="build co-commenter graphs and write GEXF")
-    _add_io(p)
-    p.add_argument("--format", choices=["csv", "json-lines"], default="csv")
-    p.add_argument("--min-shared-videos", type=int, default=1)
-    p.add_argument("--include-isolated", action="store_true")
+    p = _add_stage(sub, "graphs", cmd_graphs, "comment table -> one GEXF file per channel")
     p.add_argument("--merged", action="store_true",
                    help="one merged graph over the whole corpus instead of per channel")
-    p.set_defaults(func=cmd_graphs)
 
-    p = sub.add_parser("embed", help="comment table -> embeddings.csv")
-    _add_io(p)
-    p.add_argument("--format", choices=["csv", "json-lines"], default="csv")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-shared-videos", type=int, default=1)
-    p.add_argument("--wl-iterations", type=int, default=2)
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--lr", type=float, default=0.025)
-    p.add_argument("--min-count", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--negative", type=int, default=5)
-    p.set_defaults(func=cmd_embed)
+    _add_stage(sub, "embed", cmd_embed, "comment table -> embeddings.csv")
+    _add_stage(sub, "reduce", cmd_reduce, "embeddings.csv -> reduced.csv",
+               input_help="embeddings CSV path")
+    _add_stage(sub, "cluster", cmd_cluster, "reduced.csv -> cluster.json + dendrogram.json",
+               input_help="reduced CSV path (embeddings CSV with --cluster-space embeddings)")
 
-    p = sub.add_parser("reduce", help="embeddings.csv -> reduced.csv")
-    p.add_argument("--input", required=True, help="embeddings CSV path")
-    p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--umap-neighbors", type=int, default=5)
-    p.add_argument("--umap-min-dist", type=float, default=0.1)
-    p.add_argument("--umap-components", type=int, default=4)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("cluster", help="reduced.csv -> cluster.json + dendrogram.json")
-    p.add_argument("--input", required=True, help="reduced CSV path")
-    p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=None)
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("cliques", help="comment table -> cliques.csv census")
-    _add_io(p)
-    p.add_argument("--format", choices=["csv", "json-lines"], default="csv")
-    p.add_argument("--min-shared-videos", type=int, default=1)
-    p.add_argument("--clique-min-size", type=int, default=5)
+    p = _add_stage(sub, "cliques", cmd_cliques, "comment table -> cliques.csv census")
     p.add_argument("--report", default=None,
                    help="report.json supplying cluster labels for the census rows")
-    p.set_defaults(func=cmd_cliques)
 
     p = sub.add_parser("synth", help="write a synthetic two-family corpus")
     p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--channels", type=int, default=20)
-    p.add_argument("--videos", type=int, default=40)
-    p.add_argument("--organic", type=int, default=50)
-    p.add_argument("--organic-prob", type=float, default=0.1)
-    p.add_argument("--heavy-mob-size", type=int, default=12)
-    p.add_argument("--heavy-mob-prob", type=float, default=0.6)
-    p.add_argument("--light-mob-size", type=int, default=3)
-    p.add_argument("--light-mob-prob", type=float, default=0.35)
+    for dest, param in _synth_params().items():
+        p.add_argument("--" + dest.replace("_", "-"), type=type(param.default),
+                       default=param.default)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--input", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json-lines"], default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (fallback: ${THREADS_ENV}, then 1)")
-    p.add_argument("--wl-iterations", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--min-count", type=int, default=None)
-    p.add_argument("--umap-neighbors", type=int, default=None)
-    p.add_argument("--umap-min-dist", type=float, default=None)
-    p.add_argument("--umap-components", type=int, default=None)
-    p.add_argument("--clique-min-size", type=int, default=None)
-    p.add_argument("--min-shared-videos", type=int, default=None)
-    p.add_argument("--cluster-space", choices=["reduced", "embeddings"], default=None)
+    add_config_flags(p, CONFIG_FIELDS)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("report", help="print a human-readable summary of a report.json")
@@ -170,98 +135,79 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(args: argparse.Namespace) -> PipelineConfig:
+    file_values = load_config_file(args.config) if args.config else {}
+    raw = os.environ.get(THREADS_ENV)
+    if raw is not None:
+        try:
+            file_values["threads"] = int(raw)
+        except ValueError:
+            raise MobgraphError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+    flags = {k: v for k, v in vars(args).items() if k in CONFIG_FIELDS}
+    return resolve_config(file_values, flags)
+
+
+def _state(args: argparse.Namespace) -> RunState:
+    """A fresh run state for a subcommand that writes to its --out."""
+    config = _config(args)
+    Path(config.out).mkdir(parents=True, exist_ok=True)
+    return RunState(config)
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
-    records = ingest_mod.parse_comments(
-        args.input, format=args.format,
-        on_duplicate="error" if args.strict else "warn",
-    )
-    channels = ingest_mod.channels_in(records)
-    print(f"parsed {len(records)} records across {len(channels)} channels")
-    per_channel: dict[str, int] = {}
-    for r in records:
-        per_channel[r.channel_id] = per_channel.get(r.channel_id, 0) + 1
-    for c in channels:
+    state = RunState(_config(args))
+    pipeline.read_comments(state, on_duplicate="error" if args.strict else "warn")
+    print(f"parsed {len(state.records)} records across {len(state.channels)} channels")
+    per_channel = Counter(r.channel_id for r in state.records)
+    for c in state.channels:
         print(f"  {c}: {per_channel[c]} comments")
     return 0
 
 
 def cmd_graphs(args: argparse.Namespace) -> int:
-    records = ingest_mod.parse_comments(args.input, format=args.format)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    targets = [None] if args.merged else ingest_mod.channels_in(records)
-    for channel in targets:
-        graph = ingest_mod.build_co_commenter_graph(
-            records, channel,
-            min_shared_videos=args.min_shared_videos,
-            include_isolated=args.include_isolated,
-        )
-        path = out_dir / f"{graph.name}.gexf"
-        gexf_mod.write_gexf(graph, path)
+    state = _state(args)
+    pipeline.read_comments(state)
+    if args.merged:
+        state.channels = [None]  # one graph over the whole corpus
+    pipeline.build_graphs(state)
+    pipeline.write_graphs(state)
+    for graph in state.graphs.values():
+        path = state.out_dir / f"{graph.name}.gexf"
         print(f"{path}: {graph.n_nodes} nodes, {graph.n_edges} edges")
     return 0
 
 
-def _documents_from_comments(args: argparse.Namespace):
-    records = ingest_mod.parse_comments(args.input, format=args.format)
-    channels = ingest_mod.channels_in(records)
-    documents = []
-    for channel in channels:
-        graph = ingest_mod.build_co_commenter_graph(
-            records, channel, min_shared_videos=args.min_shared_videos
-        )
-        documents.append(
-            wl_mod.extract_document(graph, iterations=args.wl_iterations)
-        )
-    return channels, documents
-
-
 def cmd_embed(args: argparse.Namespace) -> int:
-    _channels, documents = _documents_from_comments(args)
-    vocab = embed_mod.build_vocabulary(documents, min_count=args.min_count)
-    matrix = embed_mod.train_embeddings(
-        documents, vocab,
-        dim=args.dim, initial_lr=args.lr,
-        epochs=args.epochs, negative=args.negative, seed=args.seed,
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "embeddings.csv"
-    embed_mod.write_embeddings_csv(matrix, path)
-    print(f"{path}: {len(matrix.graph_ids)} graphs, dim {matrix.dim}, "
-          f"vocabulary {len(vocab)}")
+    state = _state(args)
+    for step in STEPS["embed"]:
+        step(state)
+    matrix = state.matrix
+    print(f"{state.out_dir / 'embeddings.csv'}: {len(matrix.graph_ids)} graphs, "
+          f"dim {matrix.dim}, vocabulary {len(state.vocab)}")
     return 0
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    matrix = embed_mod.read_embeddings_csv(args.input)
-    coords, info = reduce_mod.reduce_embeddings(
-        matrix.vectors,
-        n_neighbors=args.umap_neighbors,
-        min_dist=args.umap_min_dist,
-        n_components=args.umap_components,
-        seed=args.seed,
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "reduced.csv"
-    reduce_mod.write_reduced_csv(matrix.graph_ids, coords, path)
-    print(f"{path}: {coords.shape[0]} points in {coords.shape[1]} dimensions "
+    state = _state(args)
+    state.matrix = embed_mod.read_embeddings_csv(args.artifact)
+    pipeline.reduce_points(state)
+    coords, info = state.coords, state.reduce_info
+    print(f"{state.out_dir / 'reduced.csv'}: {coords.shape[0]} points in "
+          f"{coords.shape[1]} dimensions "
           f"(a={info['a']:.4f}, b={info['b']:.4f}, init={info['init']})")
     return 0
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    ids, points = reduce_mod.read_reduced_csv(args.input)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    clustering = compute_clustering(
-        points, ids, k_min=args.k_min, k_max=args.k_max,
-        seed=args.seed, out_dir=out_dir,
-    )
-    with open(out_dir / "cluster.json", "w", encoding="utf-8") as f:
-        json.dump(clustering, f, sort_keys=True, indent=2)
-        f.write("\n")
+    state = _state(args)
+    if state.config.cluster_space == "reduced":
+        state.channels, state.coords = reduce_mod.read_reduced_csv(args.artifact)
+    else:
+        state.matrix = embed_mod.read_embeddings_csv(args.artifact)
+        state.channels = state.matrix.graph_ids
+    pipeline.cluster_points(state)
+    clustering = state.clustering
+    write_json(clustering, state.out_dir / "cluster.json")
     print(f"k-means selected k={clustering['kmeans']['selected_k']} "
           f"(silhouette {clustering['kmeans']['silhouette']:.4f})")
     print(f"cut-tree selected k={clustering['hierarchical']['selected_k']} "
@@ -273,46 +219,23 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_cliques(args: argparse.Namespace) -> int:
-    records = ingest_mod.parse_comments(args.input, format=args.format)
-    channels = ingest_mod.channels_in(records)
-    labels: dict[str, int] = {}
+    state = _state(args)
     if args.report:
         with open(args.report, "r", encoding="utf-8") as f:
-            labels = {
-                c: int(l)
-                for c, l in json.load(f)["clustering"]["kmeans"]["labels"].items()
-            }
-    censuses = []
-    for channel in channels:
-        graph = ingest_mod.build_co_commenter_graph(
-            records, channel, min_shared_videos=args.min_shared_videos
-        )
-        censuses.append(
-            cliques_mod.clique_census(graph, min_size=args.clique_min_size)
-        )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "cliques.csv"
-    cliques_mod.write_census_csv(censuses, labels, path)
-    for census in sorted(censuses, key=lambda c: (-c.count, c.channel_id)):
+            state.clustering = json.load(f)["clustering"]
+    for step in STEPS["cliques"]:
+        step(state)
+    for census in sorted(state.censuses, key=lambda c: (-c.count, c.channel_id)):
         print(f"  {census.channel_id}: {census.count} maximal cliques "
               f">= {census.min_size} members")
-    print(f"wrote {path}")
+    print(f"wrote {state.out_dir / 'cliques.csv'}")
     return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = synth_mod.two_family_config(
-        seed=args.seed,
-        n_channels=args.channels,
-        videos_per_channel=args.videos,
-        organic_commenters=args.organic,
-        organic_prob=args.organic_prob,
-        heavy_mob_size=args.heavy_mob_size,
-        heavy_mob_prob=args.heavy_mob_prob,
-        light_mob_size=args.light_mob_size,
-        light_mob_prob=args.light_mob_prob,
-    )
+    config = synth_mod.two_family_config(**{
+        param.name: getattr(args, dest) for dest, param in _synth_params().items()
+    })
     records, truth = synth_mod.generate_corpus(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -326,15 +249,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    file_values = load_config_file(args.config) if args.config else {}
-    overrides = {
-        field: getattr(args, flag)
-        for flag, field in OVERRIDE_FIELDS.items()
-        if getattr(args, flag, None) is not None
-    }
-    if overrides.get("threads") is None and _env_threads() is not None:
-        overrides["threads"] = _env_threads()
-    config = resolve_config(file_values, overrides)
+    config = _config(args)
     report = run_pipeline(config)
     km = report["clustering"]["kmeans"]
     print(f"channels: {len(report['channels'])}")

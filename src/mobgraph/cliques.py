@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 from .errors import CliqueBudgetExceeded, MissingLabel
 from .graph import Graph
+from .textio import TextTarget, open_text
 
 DEFAULT_CLIQUE_BUDGET = 10_000_000
 
@@ -120,13 +120,11 @@ def rank_channels(
 def write_census_csv(
     censuses: Iterable[CliqueCensus],
     cluster_labels: Mapping[str, int],
-    sink: Union[str, Path, IO[str]],
+    sink: TextTarget,
 ) -> None:
     """CSV with header channel_id,cluster,min_size,clique_count, sorted by
     channel id. Channels without a label get cluster -1."""
-    own = isinstance(sink, (str, Path))
-    out = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    with open_text(sink, "w") as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["channel_id", "cluster", "min_size", "clique_count"])
         for census in sorted(censuses, key=lambda c: c.channel_id):
@@ -134,6 +132,3 @@ def write_census_csv(
             writer.writerow(
                 [census.channel_id, int(cluster), census.min_size, census.count]
             )
-    finally:
-        if own:
-            out.close()

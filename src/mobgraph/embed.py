@@ -8,17 +8,15 @@ windows: WL tokens are order-insignificant within a document.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyVocabulary, NonFiniteUpdate, ZeroVector
 from .seeding import rng_for
+from .textio import TextTarget, read_id_table, write_id_table
 from .wl import GraphDocument
 
 logger = logging.getLogger(__name__)
@@ -112,7 +110,6 @@ def train_embeddings(
     epochs: int = 10,
     negative: int = 5,
     seed: int = 0,
-    subsample: float = 0.0,
     objective_out: list[float] | None = None,
 ) -> EmbeddingMatrix:
     """Train one vector per document; rows follow the input document order.
@@ -130,8 +127,6 @@ def train_embeddings(
     ids = [doc.graph_id for doc in documents]
     if len(set(ids)) != len(ids):
         raise ValueError("graph ids must be unique")
-    if subsample > 0.0:
-        logger.warning("token subsampling is a no-op knob; ignoring subsample=%s", subsample)
 
     n_docs = len(documents)
     final_lr = initial_lr / 100.0
@@ -221,52 +216,11 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 # --- export / import ----------------------------------------------------------
 
-def write_embeddings_csv(matrix: EmbeddingMatrix, sink: Union[str, Path, IO[str]]) -> None:
+def write_embeddings_csv(matrix: EmbeddingMatrix, sink: TextTarget) -> None:
     """CSV with header graph_id,e0..e{dim-1}; floats via repr for round-trip."""
-    own = isinstance(sink, (str, Path))
-    out = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["graph_id"] + [f"e{i}" for i in range(matrix.dim)])
-        for gid, row in zip(matrix.graph_ids, matrix.vectors):
-            writer.writerow([gid] + [repr(float(x)) for x in row])
-    finally:
-        if own:
-            out.close()
+    write_id_table(matrix.graph_ids, matrix.vectors, "e", sink)
 
 
-def read_embeddings_csv(source: Union[str, Path, IO[str]]) -> EmbeddingMatrix:
-    own = isinstance(source, (str, Path))
-    stream = open(source, "r", encoding="utf-8", newline="") if own else source
-    try:
-        reader = csv.reader(stream)
-        header = next(reader)
-        if not header or header[0] != "graph_id":
-            raise ValueError("embedding CSV must start with a graph_id column")
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        for row in reader:
-            ids.append(row[0])
-            rows.append([float(x) for x in row[1:]])
-    finally:
-        if own:
-            stream.close()
-    return EmbeddingMatrix(graph_ids=ids, vectors=np.array(rows, dtype=np.float64))
-
-
-def write_embeddings_json(matrix: EmbeddingMatrix, sink: Union[str, Path, IO[str]]) -> None:
-    payload = {
-        "dim": matrix.dim,
-        "embeddings": {
-            gid: [float(x) for x in row]
-            for gid, row in zip(matrix.graph_ids, matrix.vectors)
-        },
-    }
-    own = isinstance(sink, (str, Path))
-    out = open(sink, "w", encoding="utf-8", newline="\n") if own else sink
-    try:
-        json.dump(payload, out, sort_keys=True, indent=2)
-        out.write("\n")
-    finally:
-        if own:
-            out.close()
+def read_embeddings_csv(source: TextTarget) -> EmbeddingMatrix:
+    ids, vectors = read_id_table(source, "embedding")
+    return EmbeddingMatrix(graph_ids=ids, vectors=vectors)

@@ -7,7 +7,7 @@ stored canonically as (min, max) so lookups are orientation-free.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 def canonical_edge(u: str, v: str) -> tuple[str, str]:
@@ -82,46 +82,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(name={self.name!r}, nodes={self.n_nodes}, edges={self.n_edges})"
-
-    def copy(self) -> "Graph":
-        g = Graph(self.name)
-        for u in self._adj:
-            g.add_node(u)
-        for (u, v), w in self._weights.items():
-            g.add_edge(u, v, w)
-        return g
-
-    def subgraph(self, keep: Iterable[str]) -> "Graph":
-        """Induced subgraph on the given node ids."""
-        keep_set = set(keep)
-        g = Graph(self.name)
-        for u in keep_set:
-            if u in self._adj:
-                g.add_node(u)
-        for (u, v), w in self._weights.items():
-            if u in keep_set and v in keep_set:
-                g.add_edge(u, v, w)
-        return g
-
-    def connected_components(self) -> list[set[str]]:
-        """Components as node-id sets, largest first, ties by smallest member."""
-        seen: set[str] = set()
-        comps: list[set[str]] = []
-        for start in self.nodes():
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in self._adj[u]:
-                    if v not in comp:
-                        comp.add(v)
-                        stack.append(v)
-            seen |= comp
-            comps.append(comp)
-        comps.sort(key=lambda c: (-len(c), min(c)))
-        return comps
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.nodes())

@@ -8,23 +8,20 @@ and whose edge weights count the videos both endpoints commented on.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Iterable
 
 from .errors import DuplicateCommentId, EmptyChannel, MalformedRow, MissingColumn
 from .graph import Graph
+from .textio import Source, TextTarget, open_text
 
 logger = logging.getLogger(__name__)
 
 REQUIRED_COLUMNS = ("channel_id", "video_id", "commenter_id", "comment_id")
 OPTIONAL_COLUMNS = ("published_at", "text")
 CSV_HEADER = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
-
-Source = Union[str, Path, bytes, IO[bytes], IO[str]]
 
 
 @dataclass(frozen=True)
@@ -37,17 +34,6 @@ class CommentRecord:
     comment_id: str
     published_at: str | None = None
     text: str | None = None
-
-
-def _open_text(source: Source) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline="")
-    if isinstance(source, io.TextIOBase):
-        return source
-    # binary file object
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
 
 
 def parse_comments(
@@ -64,25 +50,21 @@ def parse_comments(
         raise ValueError(f"unknown format {format!r}; use 'csv' or 'json-lines'")
     if on_duplicate not in ("warn", "error"):
         raise ValueError(f"on_duplicate must be 'warn' or 'error', got {on_duplicate!r}")
-    stream = _open_text(source)
-    if format == "csv":
-        rows = _iter_csv(stream)
-    else:
-        rows = _iter_json_lines(stream)
-
     records: list[CommentRecord] = []
     seen: set[str] = set()
-    for line, fields in rows:
-        record = _make_record(line, fields)
-        if record.comment_id in seen:
-            if on_duplicate == "error":
-                raise DuplicateCommentId(record.comment_id, line)
-            logger.warning(
-                "dropping duplicate comment_id %r at line %d", record.comment_id, line
-            )
-            continue
-        seen.add(record.comment_id)
-        records.append(record)
+    with open_text(source) as stream:
+        rows = _iter_csv(stream) if format == "csv" else _iter_json_lines(stream)
+        for line, fields in rows:
+            record = _make_record(line, fields)
+            if record.comment_id in seen:
+                if on_duplicate == "error":
+                    raise DuplicateCommentId(record.comment_id, line)
+                logger.warning(
+                    "dropping duplicate comment_id %r at line %d", record.comment_id, line
+                )
+                continue
+            seen.add(record.comment_id)
+            records.append(record)
     return records
 
 
@@ -93,6 +75,9 @@ def _make_record(line: int, fields: dict[str, str | None]) -> CommentRecord:
             raise MalformedRow(line, f"empty or missing {col}")
     if fields.get("comment_id") is None:
         raise MalformedRow(line, "missing comment_id")
+    channel = fields["channel_id"]  # becomes a file name: graphs/<channel>.gexf
+    if channel in (".", "..") or any(c in channel for c in "/\\\0"):
+        raise MalformedRow(line, f"channel_id {channel!r} is not a safe file name")
     return CommentRecord(
         channel_id=fields["channel_id"],  # type: ignore[arg-type]
         video_id=fields["video_id"],  # type: ignore[arg-type]
@@ -132,7 +117,7 @@ def _iter_json_lines(stream: IO[str]) -> Iterable[tuple[int, dict[str, str | Non
     for line, raw in enumerate(stream, start=1):
         raw = raw.rstrip("\n").rstrip("\r")
         if not raw.strip():
-            raise MalformedRow(line, "empty line")
+            continue
         try:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -154,11 +139,9 @@ def _iter_json_lines(stream: IO[str]) -> Iterable[tuple[int, dict[str, str | Non
         yield line, fields
 
 
-def write_comments_csv(records: Iterable[CommentRecord], sink: str | Path | IO[str]) -> None:
+def write_comments_csv(records: Iterable[CommentRecord], sink: TextTarget) -> None:
     """Write records in the same CSV layout parse_comments reads."""
-    own = isinstance(sink, (str, Path))
-    out = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    with open_text(sink, "w") as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in records:
@@ -166,9 +149,6 @@ def write_comments_csv(records: Iterable[CommentRecord], sink: str | Path | IO[s
                 [r.channel_id, r.video_id, r.commenter_id, r.comment_id,
                  r.published_at or "", r.text or ""]
             )
-    finally:
-        if own:
-            out.close()
 
 
 def channels_in(records: Iterable[CommentRecord]) -> list[str]:

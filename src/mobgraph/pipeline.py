@@ -1,19 +1,23 @@
 """End-to-end orchestration: comments in, ranked channels and artifacts out.
 
 Stage order: ingest -> graphs -> wl -> embed -> reduce -> cluster -> cliques
--> rank -> report. The first failing stage aborts the run, names itself in
-the raised error, and leaves an INCOMPLETE marker in the output directory.
-Given one seed, two runs produce byte-identical artifacts except timings.
+-> rank -> report. Each step is one function over a RunState; `STAGES` lists
+them in order with the config fields they read, and both run_pipeline and
+the CLI subcommands call these same functions. The first failing stage
+aborts the run, names itself in the raised error, and leaves an INCOMPLETE
+marker in the output directory. Given one seed, two runs produce
+byte-identical artifacts except timings.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -28,11 +32,12 @@ from .errors import (
     CoincidentCentroids,
     DegenerateVariance,
     InvalidConfig,
-    MobgraphError,
     PipelineStageError,
     SingleCluster,
     TooFewPoints,
 )
+from .graph import Graph
+from .textio import write_json
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +76,8 @@ class PipelineConfig:
     n_init: int = 10
 
 
-_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+CHOICES = {"format": ("csv", "json-lines"), "cluster_space": ("reduced", "embeddings")}
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -84,7 +90,7 @@ def load_config_file(path: str | Path) -> dict:
     if not isinstance(data, dict):
         raise InvalidConfig(f"config file {path}: expected a JSON object")
     for key in data:
-        if key not in _CONFIG_FIELDS:
+        if key not in CONFIG_FIELDS:
             raise InvalidConfig(f"unknown config key {key!r}")
     return data
 
@@ -94,17 +100,17 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
     merged: dict = {}
     for source in (file_values or {}), (overrides or {}):
         for key, value in source.items():
-            if key not in _CONFIG_FIELDS:
+            if key not in CONFIG_FIELDS:
                 raise InvalidConfig(f"unknown config key {key!r}")
             if value is not None:
                 merged[key] = value
     config = PipelineConfig(**merged)
-    if config.format not in ("csv", "json-lines"):
-        raise InvalidConfig(f"format must be 'csv' or 'json-lines', got {config.format!r}")
-    if config.cluster_space not in ("reduced", "embeddings"):
-        raise InvalidConfig(
-            f"cluster_space must be 'reduced' or 'embeddings', got {config.cluster_space!r}"
-        )
+    for key, allowed in CHOICES.items():
+        value = getattr(config, key)
+        if value not in allowed:
+            raise InvalidConfig(
+                f"{key} must be {' or '.join(map(repr, allowed))}, got {value!r}"
+            )
     if config.threads < 1:
         raise InvalidConfig(f"threads must be >= 1, got {config.threads}")
     return config
@@ -122,16 +128,13 @@ def compute_clustering(
     """Model selection, both clusterings, and quality metrics for one point
     set; writes dendrogram.json when out_dir is given. Metrics that are
     undefined for the data at hand come back as None with a logged warning."""
-    n = points.shape[0]
-    if k_max is None:
-        k_max = min(10, n - 1)
     k_star, scores = cluster_mod.select_k_by_silhouette(
         points, k_min=k_min, k_max=k_max, seed=seed, n_init=n_init
     )
     km = cluster_mod.kmeans(points, k_star, seed=seed, n_init=n_init)
     dendrogram = cluster_mod.single_linkage(points)
     cut_scores: dict[int, float] = {}
-    for k in range(k_min, k_max + 1):
+    for k in scores:  # the k range select_k_by_silhouette resolved
         cut_scores[k] = cluster_mod.silhouette_score(
             points, cluster_mod.cut_tree(dendrogram, k)
         )
@@ -159,19 +162,17 @@ def compute_clustering(
         "Davies-Bouldin (cut-tree labels)",
     )
     if out_dir is not None:
-        with open(out_dir / "dendrogram.json", "w", encoding="utf-8") as f:
-            json.dump(
-                {
-                    "leaves": channels,
-                    "merges": [
-                        [left, right, height, size]
-                        for left, right, height, size in dendrogram.merges
-                    ],
-                    "n_leaves": dendrogram.n_leaves,
-                },
-                f, sort_keys=True, indent=2,
-            )
-            f.write("\n")
+        write_json(
+            {
+                "leaves": channels,
+                "merges": [
+                    [left, right, height, size]
+                    for left, right, height, size in dendrogram.merges
+                ],
+                "n_leaves": dendrogram.n_leaves,
+            },
+            out_dir / "dendrogram.json",
+        )
     return {
         "kmeans": {
             "selected_k": k_star,
@@ -216,6 +217,215 @@ def strip_timings(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timings"}
 
 
+# --- stages -----------------------------------------------------------------
+
+
+@dataclass
+class RunState:
+    """What the stages hand one another. Each stage reads the fields it
+    needs and fills in the ones it makes; a CLI subcommand fills in its
+    inputs from earlier artifacts instead. Artifacts are written to
+    config.out, GEXF files to graphs_dir."""
+
+    config: PipelineConfig
+    graphs_dir: Path | None = None  # None: config.out
+    records: list[ingest_mod.CommentRecord] = field(default_factory=list)
+    # A None channel stands for one graph over the whole corpus.
+    channels: list[str | None] = field(default_factory=list)
+    graphs: dict[str | None, Graph] = field(default_factory=dict)
+    documents: list[wl_mod.GraphDocument] = field(default_factory=list)
+    vocab: embed_mod.Vocabulary | None = None
+    matrix: embed_mod.EmbeddingMatrix | None = None
+    coords: object = None  # (n_channels, umap_components) array
+    reduce_info: dict = field(default_factory=dict)
+    clustering: dict = field(default_factory=dict)
+    censuses: list[cliques_mod.CliqueCensus] = field(default_factory=list)
+    ranking: cliques_mod.SuspiciousnessRanking | None = None
+    timings: dict[str, float] = field(default_factory=dict)
+    warnings: list[str] = field(default_factory=list)
+    report: dict = field(default_factory=dict)
+
+    @property
+    def out_dir(self) -> Path:
+        return Path(self.config.out)
+
+    @property
+    def labels(self) -> dict:
+        """k-means label per channel; empty until clustering is known."""
+        return self.clustering["kmeans"]["labels"] if self.clustering else {}
+
+
+def read_comments(state: RunState, on_duplicate: str = "warn") -> None:
+    config = state.config
+    if config.input is None:
+        raise InvalidConfig("no input file configured")
+    state.records = ingest_mod.parse_comments(
+        config.input, format=config.format, on_duplicate=on_duplicate
+    )
+    state.channels = ingest_mod.channels_in(state.records)
+
+
+def build_graphs(state: RunState) -> None:
+    config = state.config
+    build = functools.partial(
+        ingest_mod.build_co_commenter_graph,
+        state.records,
+        min_shared_videos=config.min_shared_videos,
+        include_isolated=config.include_isolated,
+    )
+    state.graphs = _map_channels(state.channels, build, config.threads)
+
+
+def _over_graphs(state: RunState, fn: Callable, **kwargs) -> list:
+    """fn(graph, **kwargs) for every channel's graph, in channel order."""
+    def call(channel: str | None):
+        return fn(state.graphs[channel], **kwargs)
+
+    return list(_map_channels(state.channels, call, state.config.threads).values())
+
+
+def write_graphs(state: RunState) -> None:
+    directory = state.graphs_dir or state.out_dir
+    directory.mkdir(parents=True, exist_ok=True)
+    _over_graphs(state, lambda graph: gexf_mod.write_gexf(graph, directory / f"{graph.name}.gexf"))
+
+
+def extract_documents(state: RunState) -> None:
+    config = state.config
+    state.documents = _over_graphs(
+        state,
+        wl_mod.extract_document,
+        iterations=config.wl_iterations,
+        weight_buckets=config.wl_weight_buckets,
+    )
+
+
+def embed_documents(state: RunState) -> None:
+    config = state.config
+    state.vocab = embed_mod.build_vocabulary(state.documents, min_count=config.min_count)
+    state.matrix = embed_mod.train_embeddings(
+        state.documents,
+        state.vocab,
+        dim=config.dim,
+        initial_lr=config.lr,
+        epochs=config.epochs,
+        negative=config.negative,
+        seed=config.seed,
+    )
+    embed_mod.write_embeddings_csv(state.matrix, state.out_dir / "embeddings.csv")
+
+
+def reduce_points(state: RunState) -> None:
+    config = state.config
+    state.coords, state.reduce_info = reduce_mod.reduce_embeddings(
+        state.matrix.vectors,
+        n_neighbors=config.umap_neighbors,
+        min_dist=config.umap_min_dist,
+        n_components=config.umap_components,
+        spread=config.umap_spread,
+        epochs=config.umap_epochs,
+        negative_rate=config.umap_negative_rate,
+        seed=config.seed,
+    )
+    reduce_mod.write_reduced_csv(
+        state.matrix.graph_ids, state.coords, state.out_dir / "reduced.csv"
+    )
+
+
+def cluster_points(state: RunState) -> None:
+    config = state.config
+    points = state.coords if config.cluster_space == "reduced" else state.matrix.vectors
+    state.clustering = compute_clustering(
+        points,
+        state.channels,
+        k_min=config.k_min,
+        k_max=config.k_max,
+        seed=config.seed,
+        n_init=config.n_init,
+        out_dir=state.out_dir,
+    )
+
+
+def count_cliques(state: RunState) -> None:
+    config = state.config
+    state.censuses = _over_graphs(
+        state,
+        cliques_mod.clique_census,
+        min_size=config.clique_min_size,
+        budget=config.clique_budget,
+    )
+    cliques_mod.write_census_csv(state.censuses, state.labels, state.out_dir / "cliques.csv")
+
+
+def rank(state: RunState) -> None:
+    state.ranking = cliques_mod.rank_channels(state.censuses, state.labels)
+
+
+def write_report(state: RunState) -> None:
+    from . import __version__
+
+    config = state.config
+    state.report = {
+        "channels": state.channels,
+        "config": dataclasses.asdict(config),
+        "graph_stats": {
+            c: {"nodes": state.graphs[c].n_nodes, "edges": state.graphs[c].n_edges}
+            for c in state.channels
+        },
+        "clustering": state.clustering,
+        "reduce_info": state.reduce_info,
+        "cliques": {
+            "min_size": config.clique_min_size,
+            "counts": {c.channel_id: c.count for c in state.censuses},
+        },
+        "ranking": {
+            "overall": [list(row) for row in state.ranking.overall],
+            "per_cluster": {
+                str(cluster): [list(row) for row in rows]
+                for cluster, rows in state.ranking.per_cluster.items()
+            },
+        },
+        "artifacts": {
+            "graphs_dir": "graphs",
+            "embeddings": "embeddings.csv",
+            "reduced": "reduced.csv",
+            "dendrogram": "dendrogram.json",
+            "cliques": "cliques.csv",
+        },
+        "deterministic": True,
+        "version": __version__,
+        "warnings": state.warnings,
+        "timings": state.timings,
+    }
+    write_json(state.report, state.out_dir / "report.json")
+
+
+# The pipeline in run order: (stage name in report timings, step, the
+# PipelineConfig fields the step reads besides input and out). The CLI
+# builds each subcommand's flags from the fields of the steps it runs.
+STAGES: tuple[tuple[str, Callable[[RunState], None], tuple[str, ...]], ...] = (
+    ("ingest", read_comments, ("format",)),
+    ("graphs", build_graphs, ("threads", "min_shared_videos", "include_isolated")),
+    ("graphs", write_graphs, ("threads",)),
+    ("wl", extract_documents, ("threads", "wl_iterations", "wl_weight_buckets")),
+    ("embed", embed_documents, ("seed", "dim", "lr", "min_count", "epochs", "negative")),
+    ("reduce", reduce_points, (
+        "seed", "umap_neighbors", "umap_min_dist", "umap_components",
+        "umap_spread", "umap_epochs", "umap_negative_rate",
+    )),
+    ("cluster", cluster_points, ("seed", "cluster_space", "k_min", "k_max", "n_init")),
+    ("cliques", count_cliques, ("threads", "clique_min_size", "clique_budget")),
+    ("rank", rank, ()),
+    ("report", write_report, ()),
+)
+
+
+def fields_read(steps) -> list[str]:
+    """The config fields the given steps read, in PipelineConfig order."""
+    wanted = {name for _, step, names in STAGES if step in steps for name in names}
+    return [name for name in CONFIG_FIELDS if name in wanted]
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute every stage and return the consolidated report (also written
     to out/report.json)."""
@@ -228,178 +438,17 @@ def run_pipeline(config: PipelineConfig) -> dict:
     collector = _WarningCollector()
     root = logging.getLogger("mobgraph")
     root.addHandler(collector)
-    timings: dict[str, float] = {}
-    current_stage = "ingest"
-
-    def _run(stage: str, fn: Callable[[], object]) -> object:
-        nonlocal current_stage
-        current_stage = stage
-        started = time.perf_counter()
-        result = fn()
-        timings[stage] = time.perf_counter() - started
-        return result
-
+    state = RunState(config, graphs_dir=out_dir / "graphs", warnings=collector.messages)
+    stage = STAGES[0][0]
     try:
-        # ingest
-        def _ingest():
-            if config.input is None:
-                raise InvalidConfig("no input file configured")
-            return ingest_mod.parse_comments(config.input, format=config.format)
-
-        records = _run("ingest", _ingest)
-        channels = ingest_mod.channels_in(records)
-
-        # graphs
-        def _graphs():
-            graphs_dir = out_dir / "graphs"
-            graphs_dir.mkdir(exist_ok=True)
-
-            def build(channel: str):
-                graph = ingest_mod.build_co_commenter_graph(
-                    records,
-                    channel,
-                    min_shared_videos=config.min_shared_videos,
-                    include_isolated=config.include_isolated,
-                )
-                gexf_mod.write_gexf(graph, graphs_dir / f"{channel}.gexf")
-                return graph
-
-            return _map_channels(channels, build, config.threads)
-
-        graphs = _run("graphs", _graphs)
-
-        # wl
-        def _wl():
-            def extract(channel: str):
-                return wl_mod.extract_document(
-                    graphs[channel],
-                    iterations=config.wl_iterations,
-                    weight_buckets=config.wl_weight_buckets,
-                )
-
-            by_channel = _map_channels(channels, extract, config.threads)
-            return [by_channel[c] for c in channels]
-
-        documents = _run("wl", _wl)
-
-        # embed
-        def _embed():
-            vocab = embed_mod.build_vocabulary(documents, min_count=config.min_count)
-            matrix = embed_mod.train_embeddings(
-                documents,
-                vocab,
-                dim=config.dim,
-                initial_lr=config.lr,
-                epochs=config.epochs,
-                negative=config.negative,
-                seed=config.seed,
-            )
-            embed_mod.write_embeddings_csv(matrix, out_dir / "embeddings.csv")
-            return matrix
-
-        matrix = _run("embed", _embed)
-
-        # reduce
-        def _reduce():
-            coords, info = reduce_mod.reduce_embeddings(
-                matrix.vectors,
-                n_neighbors=config.umap_neighbors,
-                min_dist=config.umap_min_dist,
-                n_components=config.umap_components,
-                spread=config.umap_spread,
-                epochs=config.umap_epochs,
-                negative_rate=config.umap_negative_rate,
-                seed=config.seed,
-            )
-            reduce_mod.write_reduced_csv(channels, coords, out_dir / "reduced.csv")
-            return coords, info
-
-        coords, reduce_info = _run("reduce", _reduce)
-
-        # cluster
-        def _cluster():
-            points = coords if config.cluster_space == "reduced" else matrix.vectors
-            return compute_clustering(
-                points,
-                channels,
-                k_min=config.k_min,
-                k_max=config.k_max,
-                seed=config.seed,
-                n_init=config.n_init,
-                out_dir=out_dir,
-            )
-
-        clustering = _run("cluster", _cluster)
-        kmeans_labels = clustering["kmeans"]["labels"]
-
-        # cliques
-        def _cliques():
-            def census(channel: str):
-                return cliques_mod.clique_census(
-                    graphs[channel],
-                    min_size=config.clique_min_size,
-                    budget=config.clique_budget,
-                )
-
-            by_channel = _map_channels(channels, census, config.threads)
-            result = [by_channel[c] for c in channels]
-            cliques_mod.write_census_csv(result, kmeans_labels, out_dir / "cliques.csv")
-            return result
-
-        censuses = _run("cliques", _cliques)
-
-        # rank
-        ranking = _run(
-            "rank", lambda: cliques_mod.rank_channels(censuses, kmeans_labels)
-        )
-
-        # report
-        def _report():
-            from . import __version__
-
-            report = {
-                "channels": channels,
-                "config": dataclasses.asdict(config),
-                "graph_stats": {
-                    c: {"nodes": graphs[c].n_nodes, "edges": graphs[c].n_edges}
-                    for c in channels
-                },
-                "clustering": clustering,
-                "reduce_info": reduce_info,
-                "cliques": {
-                    "min_size": config.clique_min_size,
-                    "counts": {c.channel_id: c.count for c in censuses},
-                },
-                "ranking": {
-                    "overall": [list(row) for row in ranking.overall],
-                    "per_cluster": {
-                        str(cluster): [list(row) for row in rows]
-                        for cluster, rows in ranking.per_cluster.items()
-                    },
-                },
-                "artifacts": {
-                    "graphs_dir": "graphs",
-                    "embeddings": "embeddings.csv",
-                    "reduced": "reduced.csv",
-                    "dendrogram": "dendrogram.json",
-                    "cliques": "cliques.csv",
-                },
-                "deterministic": True,
-                "version": __version__,
-                "warnings": collector.messages,
-                "timings": timings,
-            }
-            with open(out_dir / "report.json", "w", encoding="utf-8") as f:
-                json.dump(report, f, sort_keys=True, indent=2)
-                f.write("\n")
-            return report
-
-        return _run("report", _report)
-    except MobgraphError as exc:
-        marker.write_text(f"failed at stage: {current_stage}\n{exc}\n", encoding="utf-8")
-        raise PipelineStageError(current_stage, exc) from exc
+        for stage, step, _fields in STAGES:
+            started = time.perf_counter()
+            step(state)
+            elapsed = time.perf_counter() - started
+            state.timings[stage] = state.timings.get(stage, 0.0) + elapsed
+        return state.report
     except Exception as exc:  # noqa: BLE001 - stage context is the contract
-        marker.write_text(f"failed at stage: {current_stage}\n{exc}\n", encoding="utf-8")
-        raise PipelineStageError(current_stage, exc) from exc
+        marker.write_text(f"failed at stage: {stage}\n{exc}\n", encoding="utf-8")
+        raise PipelineStageError(stage, exc) from exc
     finally:
         root.removeHandler(collector)

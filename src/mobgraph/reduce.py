@@ -8,18 +8,17 @@ Brute-force kNN is deliberate: inputs are tens of points, not millions.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Union
 
 import numpy as np
 from scipy.optimize import curve_fit
+from scipy.sparse.csgraph import connected_components
 
 from .errors import NoConvergence, NonFiniteCoordinate, TooFewPoints
 from .seeding import rng_for
+from .textio import TextTarget, read_id_table, write_id_table
 
 logger = logging.getLogger(__name__)
 
@@ -43,10 +42,6 @@ class NeighborGraph:
 @dataclass
 class FuzzyGraph:
     strengths: np.ndarray  # (n, n) symmetric, zero diagonal, entries in [0, 1]
-
-    @property
-    def n_points(self) -> int:
-        return int(self.strengths.shape[0])
 
 
 def knn_exact(points: np.ndarray, k: int = 5) -> NeighborGraph:
@@ -156,23 +151,13 @@ def fit_curve_params(min_dist: float = 0.1, spread: float = 1.0) -> tuple[float,
     return a, b
 
 
-def _components(strengths: np.ndarray) -> int:
+def _layout_init_mode(strengths: np.ndarray, n_components: int) -> str:
+    """Spectral when the fuzzy graph is connected and n >= 4*n_components,
+    random otherwise."""
     n = strengths.shape[0]
-    seen = [False] * n
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(strengths[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-    return count
+    if n < 4 * n_components or connected_components(strengths, return_labels=False) > 1:
+        return "random"
+    return "spectral"
 
 
 def _random_init(n: int, n_components: int, seed: int) -> np.ndarray:
@@ -193,11 +178,8 @@ def _spectral_init(strengths: np.ndarray, n_components: int, seed: int) -> np.nd
     columns = []
     for c in range(n_components):
         rng = rng_for(seed, "spectral", str(c))
-        x = rng.uniform(-1.0, 1.0, n)
-        for v in basis:
-            x -= (v @ x) * v
-        norm = np.linalg.norm(x)
-        while norm < 1e-12:
+        norm = 0.0
+        while norm < 1e-12:  # redraw a start that lies in the span of the basis
             x = rng.uniform(-1.0, 1.0, n)
             for v in basis:
                 x -= (v @ x) * v
@@ -266,8 +248,8 @@ def optimize_layout(
 ) -> np.ndarray:
     """Lay the points out in n_components dimensions.
 
-    Initialization is spectral when the fuzzy graph is connected and
-    n >= 4*n_components, seeded uniform noise in [-10, 10] otherwise.
+    Initialization follows _layout_init_mode: spectral, or seeded uniform
+    noise in [-10, 10].
     Attractive moves follow the per-edge schedule proportional to strength;
     each one triggers negative_rate repulsive samples; the step size decays
     linearly 1 -> 0; per-component gradients clip to [-4, 4]. Corpora with
@@ -282,12 +264,11 @@ def optimize_layout(
     if n == 0:
         raise ValueError("fuzzy graph is empty")
 
-    if n < 4 * n_components or _components(strengths) > 1:
+    init_mode = _layout_init_mode(strengths, n_components)
+    if init_mode == "random":
         init = _random_init(n, n_components, seed)
-        init_mode = "random"
     else:
         init = _spectral_init(strengths, n_components, seed)
-        init_mode = "spectral"
     logger.info("layout init: %s", init_mode)
 
     if n <= n_components + 1:
@@ -379,11 +360,6 @@ def reduce_embeddings(
     neighbors = smooth_knn(knn_exact(points, n_neighbors))
     fuzzy = fuzzy_union(neighbors)
     a, b = fit_curve_params(min_dist=min_dist, spread=spread)
-    init_mode = (
-        "spectral"
-        if points.shape[0] >= 4 * n_components and _components(fuzzy.strengths) == 1
-        else "random"
-    )
     coords = optimize_layout(
         fuzzy,
         n_components=n_components,
@@ -396,7 +372,7 @@ def reduce_embeddings(
     info = {
         "a": a,
         "b": b,
-        "init": init_mode,
+        "init": _layout_init_mode(fuzzy.strengths, n_components),
         "n_neighbors": n_neighbors,
         "min_dist": min_dist,
         "spread": spread,
@@ -407,36 +383,10 @@ def reduce_embeddings(
     return coords, info
 
 
-def write_reduced_csv(
-    graph_ids: list[str], coords: np.ndarray, sink: Union[str, Path, IO[str]]
-) -> None:
+def write_reduced_csv(graph_ids: list[str], coords: np.ndarray, sink: TextTarget) -> None:
     """CSV with header graph_id,u0..u{d-1}; this is the scatter-plot data."""
-    own = isinstance(sink, (str, Path))
-    out = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["graph_id"] + [f"u{i}" for i in range(coords.shape[1])])
-        for gid, row in zip(graph_ids, coords):
-            writer.writerow([gid] + [repr(float(x)) for x in row])
-    finally:
-        if own:
-            out.close()
+    write_id_table(graph_ids, coords, "u", sink)
 
 
-def read_reduced_csv(source: Union[str, Path, IO[str]]) -> tuple[list[str], np.ndarray]:
-    own = isinstance(source, (str, Path))
-    stream = open(source, "r", encoding="utf-8", newline="") if own else source
-    try:
-        reader = csv.reader(stream)
-        header = next(reader)
-        if not header or header[0] != "graph_id":
-            raise ValueError("reduced CSV must start with a graph_id column")
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        for row in reader:
-            ids.append(row[0])
-            rows.append([float(x) for x in row[1:]])
-    finally:
-        if own:
-            stream.close()
-    return ids, np.array(rows, dtype=np.float64)
+def read_reduced_csv(source: TextTarget) -> tuple[list[str], np.ndarray]:
+    return read_id_table(source, "reduced")

@@ -8,14 +8,12 @@ graphs, which is exactly what the downstream ranking is supposed to find.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Union
 
 from .errors import InvalidConfig
 from .ingest import CommentRecord
 from .seeding import rng_for
+from .textio import TextTarget, write_json
 
 
 @dataclass
@@ -179,16 +177,8 @@ def two_family_config(
     )
 
 
-def write_ground_truth(truth: GroundTruth, sink: Union[str, Path, IO[str]]) -> None:
-    payload = {
-        "channel_families": truth.channel_families,
-        "commenter_mobs": truth.commenter_mobs,
-    }
-    own = isinstance(sink, (str, Path))
-    out = open(sink, "w", encoding="utf-8", newline="\n") if own else sink
-    try:
-        json.dump(payload, out, sort_keys=True, indent=2)
-        out.write("\n")
-    finally:
-        if own:
-            out.close()
+def write_ground_truth(truth: GroundTruth, sink: TextTarget) -> None:
+    write_json(
+        {"channel_families": truth.channel_families, "commenter_mobs": truth.commenter_mobs},
+        sink,
+    )

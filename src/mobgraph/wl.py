@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Iterable, Union
 
 from .graph import Graph
 
@@ -83,17 +81,3 @@ def extract_document(
         labels = wl_iteration(graph, labels, weight_buckets=weight_buckets)
         tokens.extend(f"{t}_{labels[v]}" for v in nodes)
     return GraphDocument(graph_id=graph.name, tokens=tokens)
-
-
-def write_documents(
-    documents: Iterable[GraphDocument], sink: Union[str, Path, IO[str]]
-) -> None:
-    """Debug dump: one document per line, tokens space-separated."""
-    own = isinstance(sink, (str, Path))
-    out = open(sink, "w", encoding="utf-8", newline="\n") if own else sink
-    try:
-        for doc in documents:
-            out.write(" ".join(doc.tokens) + "\n")
-    finally:
-        if own:
-            out.close()

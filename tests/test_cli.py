@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from mobgraph.cli import main
+from mobgraph.cli import STEPS, _config, build_parser, main
 from mobgraph.errors import InvalidConfig, PipelineStageError
 from mobgraph.pipeline import (
+    CONFIG_FIELDS,
     PipelineConfig,
+    fields_read,
     load_config_file,
     resolve_config,
     run_pipeline,
@@ -130,6 +132,10 @@ def test_pipeline_cluster_space_ablation(corpus_dir, tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["cluster_space"] == "embeddings"
+    stages = tmp_path / "stages"  # the subcommand clusters embeddings.csv the same way
+    assert main(["cluster", "--input", str(out / "embeddings.csv"), "--out", str(stages),
+                 "--cluster-space", "embeddings"]) == 0
+    assert read_bytes(stages / "dendrogram.json") == read_bytes(out / "dendrogram.json")
 
 
 # --- configuration layering ----------------------------------------------------------
@@ -234,19 +240,19 @@ def test_graphs_command(corpus_dir, tmp_path, capsys):
     assert [p.name for p in merged_out.glob("*.gexf")] == ["merged.gexf"]
 
 
-def test_stagewise_chain_matches_pipeline(corpus_dir, pipeline_out, tmp_path, capsys):
-    out = tmp_path / "stages"
-    comments = str(corpus_dir / "comments.csv")
-    assert main(["embed", "--input", comments, "--out", str(out),
-                 "--seed", "0"]) == 0
+def assert_chain_matches(comments, pipeline_out, out, extra=()):
+    """Run embed -> reduce -> cluster -> cliques with the same settings
+    `extra` gave `pipeline`, and compare every artifact with its output."""
+    extra = list(extra)
+    assert main(["embed", "--input", comments, "--out", str(out), *extra]) == 0
     assert read_bytes(out / "embeddings.csv") == read_bytes(
         pipeline_out / "embeddings.csv"
     )
     assert main(["reduce", "--input", str(out / "embeddings.csv"),
-                 "--out", str(out), "--seed", "0"]) == 0
+                 "--out", str(out), *extra]) == 0
     assert read_bytes(out / "reduced.csv") == read_bytes(pipeline_out / "reduced.csv")
     assert main(["cluster", "--input", str(out / "reduced.csv"),
-                 "--out", str(out), "--seed", "0"]) == 0
+                 "--out", str(out), *extra]) == 0
     assert (out / "cluster.json").exists()
     assert read_bytes(out / "dendrogram.json") == read_bytes(
         pipeline_out / "dendrogram.json"
@@ -255,8 +261,79 @@ def test_stagewise_chain_matches_pipeline(corpus_dir, pipeline_out, tmp_path, ca
     report = json.loads((pipeline_out / "report.json").read_text())
     assert clustering == report["clustering"]
     assert main(["cliques", "--input", comments, "--out", str(out),
-                 "--report", str(pipeline_out / "report.json")]) == 0
+                 "--report", str(pipeline_out / "report.json"), *extra]) == 0
     assert read_bytes(out / "cliques.csv") == read_bytes(pipeline_out / "cliques.csv")
+
+
+def test_stagewise_chain_matches_pipeline(corpus_dir, pipeline_out, tmp_path, capsys):
+    assert_chain_matches(str(corpus_dir / "comments.csv"), pipeline_out,
+                         tmp_path / "stages")
+
+
+def test_stagewise_chain_matches_pipeline_tuned_config(corpus_dir, tmp_path, capsys):
+    config_path = tmp_path / "tuned.json"
+    config_path.write_text(json.dumps(
+        {"dim": 16, "epochs": 3, "min_count": 2, "umap_epochs": 50, "n_init": 3}
+    ))
+    comments = str(corpus_dir / "comments.csv")
+    run = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config_path), "--input", comments,
+                 "--out", str(run)]) == 0
+    assert_chain_matches(comments, run, tmp_path / "stages",
+                         ["--config", str(config_path)])
+
+
+def test_hostile_channel_id_writes_nothing_outside_out(tmp_path, capsys):
+    # Unchecked, graphs/../../escaped.gexf would land in tmp_path itself.
+    source = tmp_path / "comments.csv"
+    source.write_text("channel_id,video_id,commenter_id,comment_id\n" + "".join(
+        f"{channel},v1,u{i},{channel}{i}\n"
+        for channel in ("ch00", "../../escaped") for i in range(3)
+    ))
+    run, stages = tmp_path / "run", tmp_path / "stages"
+    codes = [main(["pipeline", "--input", str(source), "--out", str(run)]),
+             main(["graphs", "--input", str(source), "--out", str(stages / "graphs")])]
+    outside = [p for p in tmp_path.rglob("*")
+               if p not in (source, run, stages)
+               and run not in p.parents and stages not in p.parents]
+    assert outside == []
+    assert codes == [1, 1]
+    assert "not a safe file name" in capsys.readouterr().err
+
+
+# --- flags -----------------------------------------------------------------------------
+
+def subcommands():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
+def flag_dests(subparser):
+    return [a.dest for a in subparser._actions if a.dest != "help"]
+
+
+def test_pipeline_has_one_flag_per_config_field():
+    dests = flag_dests(subcommands()["pipeline"])
+    assert sorted(dests) == sorted([*CONFIG_FIELDS, "config"])
+
+
+def test_stage_flags_are_the_fields_their_steps_read():
+    own = {"input", "artifact", "out", "config", "strict", "merged", "report"}
+    parsers = subcommands()
+    for name, steps in STEPS.items():
+        dests = flag_dests(parsers[name])
+        assert len(dests) == len(set(dests)), name
+        assert set(dests) - own == set(fields_read(steps)), name
+        assert set(fields_read(steps)) <= set(CONFIG_FIELDS), name
+
+
+def test_no_flags_resolve_to_default_config(monkeypatch):
+    monkeypatch.delenv("MOBGRAPH_THREADS", raising=False)
+    parser = build_parser()
+    assert _config(parser.parse_args(["pipeline"])) == PipelineConfig()
+    for name in STEPS:
+        args = parser.parse_args([name, "--input", "x.csv"])
+        expected = PipelineConfig(input=None if name in ("reduce", "cluster") else "x.csv")
+        assert _config(args) == expected, name
 
 
 def test_report_command(pipeline_out, capsys):
@@ -270,7 +347,6 @@ def test_report_command(pipeline_out, capsys):
 def test_synth_flag_defaults_mirror_library_defaults():
     import inspect
 
-    from mobgraph.cli import build_parser
     from mobgraph.synth import two_family_config
 
     parser = build_parser()

@@ -15,7 +15,6 @@ from mobgraph.embed import (
     read_embeddings_csv,
     train_embeddings,
     write_embeddings_csv,
-    write_embeddings_json,
 )
 from mobgraph.errors import EmptyVocabulary, ZeroVector
 from mobgraph.graph import Graph
@@ -206,15 +205,6 @@ def test_single_token_vocabulary_trains_without_negatives():
     assert np.isfinite(matrix.vectors).all()
 
 
-def test_subsample_knob_is_noop(caplog):
-    documents, vocab = small_corpus()
-    plain = train_embeddings(documents, vocab, dim=8, seed=5)
-    with caplog.at_level("WARNING", logger="mobgraph.embed"):
-        knobbed = train_embeddings(documents, vocab, dim=8, seed=5, subsample=0.5)
-    assert np.array_equal(plain.vectors, knobbed.vectors)
-    assert any("no-op" in m for m in caplog.messages)
-
-
 def test_duplicate_graph_ids_rejected():
     documents = [doc("same", ["t"] * 5), doc("same", ["t"] * 5)]
     vocab = build_vocabulary(documents, min_count=5)
@@ -265,13 +255,3 @@ def test_embeddings_csv_round_trip():
     back = read_embeddings_csv(io.StringIO(text))
     assert back.graph_ids == matrix.graph_ids
     assert np.array_equal(back.vectors, matrix.vectors)
-
-
-def test_embeddings_json_mirrors_content():
-    import json
-
-    matrix = EmbeddingMatrix(graph_ids=["g"], vectors=np.array([[1.0, 2.0]]))
-    buf = io.StringIO()
-    write_embeddings_json(matrix, buf)
-    payload = json.loads(buf.getvalue())
-    assert payload == {"dim": 2, "embeddings": {"g": [1.0, 2.0]}}

@@ -50,36 +50,6 @@ def test_degree_and_neighbors():
     assert g.degree("b") == 1
 
 
-def test_subgraph_induced():
-    g = Graph()
-    g.add_edge("a", "b")
-    g.add_edge("b", "c")
-    g.add_edge("a", "c")
-    sub = g.subgraph({"a", "b"})
-    assert sub.nodes() == ["a", "b"]
-    assert sub.edges() == [("a", "b", 1.0)]
-
-
-def test_connected_components_order():
-    g = Graph()
-    g.add_edge("a", "b")
-    g.add_edge("b", "c")
-    g.add_edge("x", "y")
-    g.add_node("solo")
-    comps = g.connected_components()
-    assert comps == [{"a", "b", "c"}, {"x", "y"}, {"solo"}]
-
-
-def test_copy_is_deep_enough():
-    g = Graph("orig")
-    g.add_edge("a", "b", 2.0)
-    c = g.copy()
-    c.add_edge("a", "c", 1.0)
-    assert g.n_edges == 1
-    assert c.n_edges == 2
-    assert g.name == c.name
-
-
 def test_random_graphs_consistent_degrees():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -119,6 +119,32 @@ def test_json_lines_bad_json():
     assert err.value.line == 1
 
 
+def comment_table(rows, format):
+    """Four-column comment rows as CSV or JSON-lines bytes."""
+    if format == "csv":
+        lines = ["channel_id,video_id,commenter_id,comment_id"] + [",".join(r) for r in rows]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    keys = ("channel_id", "video_id", "commenter_id", "comment_id")
+    return "".join(json.dumps(dict(zip(keys, r))) + "\n" for r in rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("format", ["csv", "json-lines"])
+@pytest.mark.parametrize("channel", ["../escaped", "a/b", "a\\b", "a\0b", ".", "..", ""])
+def test_unsafe_channel_id_rejected(format, channel):
+    rows = [("c1", "v1", "u1", "m1"), (channel, "v1", "u2", "m2")]
+    with pytest.raises(MalformedRow) as err:
+        parse_comments(comment_table(rows, format), format=format)
+    assert err.value.line == (3 if format == "csv" else 2)  # CSV counts its header
+
+
+def test_trailing_blank_line_skipped_in_both_formats():
+    rows = [("c1", "v1", "u1", "m1"), ("c1", "v1", "u2", "m2")]
+    expected = [rec(*row) for row in rows]
+    for format in ("csv", "json-lines"):
+        data = comment_table(rows, format) + b"\n"
+        assert parse_comments(data, format=format) == expected, format
+
+
 def test_csv_round_trip_through_writer():
     records = [
         rec("c1", "v1", "u1", "m1"),

@@ -263,6 +263,22 @@ def test_layout_separates_distant_blobs():
     assert wins >= 8, f"blobs stayed separated for only {wins}/10 seeds"
 
 
+def test_layout_init_random_when_fuzzy_graph_disconnected(caplog):
+    points = two_blobs(np.random.default_rng(23), separation=100.0)
+    with caplog.at_level("INFO", logger="mobgraph.reduce"):
+        _, info = reduce_embeddings(points, n_components=4, epochs=5, seed=0)
+    assert info["init"] == "random"
+    assert "layout init: random" in caplog.messages
+
+
+def test_layout_init_spectral_when_connected(caplog):
+    points = np.random.default_rng(24).normal(0.0, 1.0, (20, 16))  # n >= 4*4
+    with caplog.at_level("INFO", logger="mobgraph.reduce"):
+        _, info = reduce_embeddings(points, n_components=4, epochs=5, seed=0)
+    assert info["init"] == "spectral"
+    assert "layout init: spectral" in caplog.messages
+
+
 def test_layout_skips_tiny_corpus(caplog):
     strengths = np.zeros((4, 4))
     strengths[0, 1] = strengths[1, 0] = 1.0

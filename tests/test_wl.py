@@ -10,7 +10,6 @@ from mobgraph.wl import (
     fnv1a64,
     initial_labels,
     wl_iteration,
-    write_documents,
 )
 
 
@@ -168,11 +167,3 @@ def test_iteration_prefix_prevents_cross_round_collisions():
 def test_negative_iterations_rejected():
     with pytest.raises(ValueError):
         extract_document(triangle(), iterations=-1)
-
-
-def test_write_documents_dump(tmp_path):
-    docs = [extract_document(triangle(), 0), extract_document(path_graph("A", "B"), 0)]
-    out = tmp_path / "docs.txt"
-    write_documents(docs, out)
-    lines = out.read_text().splitlines()
-    assert lines == ["0_2 0_2 0_2", "0_1 0_1"]
