@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import CliqueBudgetExceeded, MissingLabel
 from .graph import Graph
@@ -46,38 +46,74 @@ def _degeneracy_order(graph: Graph) -> list[str]:
     return order
 
 
-def maximal_cliques(
-    graph: Graph, budget: int | None = DEFAULT_CLIQUE_BUDGET
-) -> Iterator[frozenset[str]]:
-    """Stream every maximal clique exactly once.
+def _each_maximal_clique(
+    graph: Graph, budget: int | None, emit: Callable[[int], object]
+) -> None:
+    """Call emit(members) once per maximal clique, members a bitset whose bit
+    i is the i-th node of graph.nodes().
 
-    Bron-Kerbosch over a degeneracy ordering with pivoting; the pivot is the
-    candidate covering the most of P, ties toward the smaller id, so the
-    traversal is deterministic. budget caps emissions; None disables the cap.
+    Bron-Kerbosch over a degeneracy ordering with Tomita pivoting, on Python
+    ints: each node's neighbourhood and the sets P (candidates), X (excluded)
+    and R (the clique so far) are bitsets. The pivot is the member of P|X
+    covering the most of P, ties toward the lowest bit (the smaller id), and
+    the candidates outside its neighbourhood are taken lowest bit first, so
+    the traversal is deterministic. budget caps emissions; None disables the
+    cap.
     """
-    adj = {u: set(graph.neighbors(u)) for u in graph.nodes()}
+    nodes = graph.nodes()
+    index = {u: i for i, u in enumerate(nodes)}
+    adj = [sum(1 << index[v] for v in graph.neighbors(u)) for u in nodes]
     emitted = 0
 
-    def expand(r: set[str], p: set[str], x: set[str]) -> Iterator[frozenset[str]]:
+    def expand(r: int, p: int, x: int) -> None:
         nonlocal emitted
-        if not p and not x:
-            emitted += 1
-            if budget is not None and emitted > budget:
-                raise CliqueBudgetExceeded(budget, graph.name or None)
-            yield frozenset(r)
+        if not p:
+            if not x:
+                emitted += 1
+                if budget is not None and emitted > budget:
+                    raise CliqueBudgetExceeded(budget, graph.name or None)
+                emit(r)
             return
-        pivot = min(p | x, key=lambda u: (-len(p & adj[u]), u))
-        for v in sorted(p - adj[pivot]):
-            yield from expand(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
+        p_size = p.bit_count()
+        best = -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            covered = (p & adj[low.bit_length() - 1]).bit_count()
+            if covered > best:
+                best, pivot = covered, low
+                if covered == p_size:
+                    break  # no later member can cover more
+        candidates = p & ~adj[pivot.bit_length() - 1]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            neighbours = adj[low.bit_length() - 1]
+            expand(r | low, p & neighbours, x & neighbours)
+            p ^= low
+            x |= low
 
-    order = _degeneracy_order(graph)
-    rank = {u: i for i, u in enumerate(order)}
-    for v in order:
-        later = {u for u in adj[v] if rank[u] > rank[v]}
-        earlier = {u for u in adj[v] if rank[u] < rank[v]}
-        yield from expand({v}, later, earlier)
+    done = 0  # nodes whose own search has run: excluded from later ones
+    for u in _degeneracy_order(graph):
+        i = index[u]
+        expand(1 << i, adj[i] & ~done, adj[i] & done)
+        done |= 1 << i
+
+
+def maximal_cliques(
+    graph: Graph, budget: int | None = DEFAULT_CLIQUE_BUDGET
+) -> list[frozenset[str]]:
+    """Every maximal clique exactly once, as frozensets of node ids.
+    budget caps emissions; None disables the cap."""
+    nodes = graph.nodes()
+    found: list[frozenset[str]] = []
+
+    def collect(members: int) -> None:
+        found.append(frozenset(u for i, u in enumerate(nodes) if members >> i & 1))
+
+    _each_maximal_clique(graph, budget, collect)
+    return found
 
 
 def clique_census(
@@ -86,16 +122,17 @@ def clique_census(
     """Count maximal cliques of size >= min_size; histogram covers all sizes."""
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
-    histogram: dict[int, int] = {}
-    count = 0
-    for clique in maximal_cliques(graph, budget=budget):
-        size = len(clique)
-        histogram[size] = histogram.get(size, 0) + 1
-        if size >= min_size:
-            count += 1
+    by_size = [0] * (graph.n_nodes + 1)
+
+    def tally(members: int) -> None:
+        by_size[members.bit_count()] += 1
+
+    _each_maximal_clique(graph, budget, tally)
+    histogram = {size: n for size, n in enumerate(by_size) if n}
     return CliqueCensus(
-        channel_id=graph.name, min_size=min_size, count=count,
-        histogram=dict(sorted(histogram.items())),
+        channel_id=graph.name, min_size=min_size,
+        count=sum(n for size, n in histogram.items() if size >= min_size),
+        histogram=histogram,
     )
 
 

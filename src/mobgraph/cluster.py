@@ -151,19 +151,25 @@ def silhouette_score(points, labels) -> float:
     return total / n
 
 
+def k_range(n: int, k_min: int = 2, k_max: int | None = None) -> range:
+    """The k values model selection tries for n points: [k_min, k_max], with
+    k_max defaulting to min(10, n - 1). InvalidK when k_min < 2 or the range
+    is empty."""
+    if k_max is None:
+        k_max = min(10, n - 1)
+    if k_min < 2 or k_max < k_min:
+        raise InvalidK(k_min if k_min < 2 else k_max, n)
+    return range(k_min, k_max + 1)
+
+
 def select_k_by_silhouette(
     points, k_min: int = 2, k_max: int | None = None, seed: int = 0, n_init: int = 10
 ) -> tuple[int, dict[int, float]]:
     """Run kmeans over [k_min, k_max], return argmax silhouette, ties to
     the smaller k, plus the full score table."""
     points = _as_points(points)
-    n = points.shape[0]
-    if k_max is None:
-        k_max = min(10, n - 1)
-    if k_min < 2 or k_max < k_min:
-        raise InvalidK(k_min if k_min < 2 else k_max, n)
     scores: dict[int, float] = {}
-    for k in range(k_min, k_max + 1):
+    for k in k_range(points.shape[0], k_min, k_max):
         result = kmeans(points, k, seed=seed, n_init=n_init)
         scores[k] = silhouette_score(points, result.labels)
     best_k = max(scores, key=lambda k: (scores[k], -k))

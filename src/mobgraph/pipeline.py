@@ -32,6 +32,7 @@ from .errors import (
     CoincidentCentroids,
     DegenerateVariance,
     InvalidConfig,
+    InvalidK,
     PipelineStageError,
     SingleCluster,
     TooFewPoints,
@@ -42,6 +43,16 @@ from .textio import write_json
 logger = logging.getLogger(__name__)
 
 INCOMPLETE_MARKER = "INCOMPLETE"
+REPORT = "report.json"
+GRAPHS_DIR = "graphs"
+# The files run_pipeline writes besides the report and the GEXF graphs,
+# keyed as in report["artifacts"].
+ARTIFACTS = {
+    "embeddings": "embeddings.csv",
+    "reduced": "reduced.csv",
+    "dendrogram": "dendrogram.json",
+    "cliques": "cliques.csv",
+}
 
 
 @dataclass
@@ -171,7 +182,7 @@ def compute_clustering(
                 ],
                 "n_leaves": dendrogram.n_leaves,
             },
-            out_dir / "dendrogram.json",
+            out_dir / ARTIFACTS["dendrogram"],
         )
     return {
         "kmeans": {
@@ -265,6 +276,27 @@ def read_comments(state: RunState, on_duplicate: str = "warn") -> None:
     state.channels = ingest_mod.channels_in(state.records)
 
 
+def check_corpus_size(state: RunState) -> None:
+    """Fail before any graph is built when the corpus has too few channels
+    for the reduce or cluster settings, instead of after the expensive
+    stages have run and written their artifacts."""
+    config = state.config
+    n = len(state.channels)
+    if n <= config.umap_neighbors:
+        raise InvalidConfig(
+            f"{n} channels is too few for umap_neighbors={config.umap_neighbors}; "
+            f"reduce needs more channels than neighbours"
+        )
+    try:
+        cluster_mod.k_range(n, config.k_min, config.k_max)
+    except InvalidK:
+        raise InvalidConfig(
+            f"{n} channels leave no k to select with k_min={config.k_min}, "
+            f"k_max={config.k_max} (k_min must be >= 2; k_max defaults to "
+            f"min(10, channels - 1))"
+        ) from None
+
+
 def build_graphs(state: RunState) -> None:
     config = state.config
     build = functools.partial(
@@ -312,7 +344,7 @@ def embed_documents(state: RunState) -> None:
         negative=config.negative,
         seed=config.seed,
     )
-    embed_mod.write_embeddings_csv(state.matrix, state.out_dir / "embeddings.csv")
+    embed_mod.write_embeddings_csv(state.matrix, state.out_dir / ARTIFACTS["embeddings"])
 
 
 def reduce_points(state: RunState) -> None:
@@ -328,7 +360,7 @@ def reduce_points(state: RunState) -> None:
         seed=config.seed,
     )
     reduce_mod.write_reduced_csv(
-        state.matrix.graph_ids, state.coords, state.out_dir / "reduced.csv"
+        state.matrix.graph_ids, state.coords, state.out_dir / ARTIFACTS["reduced"]
     )
 
 
@@ -354,7 +386,9 @@ def count_cliques(state: RunState) -> None:
         min_size=config.clique_min_size,
         budget=config.clique_budget,
     )
-    cliques_mod.write_census_csv(state.censuses, state.labels, state.out_dir / "cliques.csv")
+    cliques_mod.write_census_csv(
+        state.censuses, state.labels, state.out_dir / ARTIFACTS["cliques"]
+    )
 
 
 def rank(state: RunState) -> None:
@@ -385,19 +419,13 @@ def write_report(state: RunState) -> None:
                 for cluster, rows in state.ranking.per_cluster.items()
             },
         },
-        "artifacts": {
-            "graphs_dir": "graphs",
-            "embeddings": "embeddings.csv",
-            "reduced": "reduced.csv",
-            "dendrogram": "dendrogram.json",
-            "cliques": "cliques.csv",
-        },
+        "artifacts": {"graphs_dir": GRAPHS_DIR, **ARTIFACTS},
         "deterministic": True,
         "version": __version__,
         "warnings": state.warnings,
         "timings": state.timings,
     }
-    write_json(state.report, state.out_dir / "report.json")
+    write_json(state.report, state.out_dir / REPORT)
 
 
 # The pipeline in run order: (stage name in report timings, step, the
@@ -405,6 +433,7 @@ def write_report(state: RunState) -> None:
 # builds each subcommand's flags from the fields of the steps it runs.
 STAGES: tuple[tuple[str, Callable[[RunState], None], tuple[str, ...]], ...] = (
     ("ingest", read_comments, ("format",)),
+    ("ingest", check_corpus_size, ("umap_neighbors", "k_min", "k_max")),
     ("graphs", build_graphs, ("threads", "min_shared_videos", "include_isolated")),
     ("graphs", write_graphs, ("threads",)),
     ("wl", extract_documents, ("threads", "wl_iterations", "wl_weight_buckets")),
@@ -426,19 +455,28 @@ def fields_read(steps) -> list[str]:
     return [name for name in CONFIG_FIELDS if name in wanted]
 
 
+def _remove_artifacts(out_dir: Path) -> None:
+    """Delete what an earlier run_pipeline left in out_dir, so a failed or
+    smaller rerun cannot leave stale files beside its own. Other files in
+    out_dir are kept."""
+    for name in (INCOMPLETE_MARKER, REPORT, *ARTIFACTS.values()):
+        (out_dir / name).unlink(missing_ok=True)
+    for path in (out_dir / GRAPHS_DIR).glob("*.gexf"):
+        path.unlink()
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute every stage and return the consolidated report (also written
     to out/report.json)."""
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     marker = out_dir / INCOMPLETE_MARKER
-    if marker.exists():
-        marker.unlink()
+    _remove_artifacts(out_dir)
 
     collector = _WarningCollector()
     root = logging.getLogger("mobgraph")
     root.addHandler(collector)
-    state = RunState(config, graphs_dir=out_dir / "graphs", warnings=collector.messages)
+    state = RunState(config, graphs_dir=out_dir / GRAPHS_DIR, warnings=collector.messages)
     stage = STAGES[0][0]
     try:
         for stage, step, _fields in STAGES:

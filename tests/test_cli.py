@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -136,6 +137,79 @@ def test_pipeline_cluster_space_ablation(corpus_dir, tmp_path):
     assert main(["cluster", "--input", str(out / "embeddings.csv"), "--out", str(stages),
                  "--cluster-space", "embeddings"]) == 0
     assert read_bytes(stages / "dendrogram.json") == read_bytes(out / "dendrogram.json")
+
+
+def synth_corpus(path, channels):
+    assert main(["synth", "--out", str(path), "--channels", str(channels),
+                 "--videos", "10", "--organic", "12"]) == 0
+    return str(path / "comments.csv")
+
+
+def files_under(directory):
+    return sorted(str(p.relative_to(directory)) for p in directory.rglob("*") if p.is_file())
+
+
+def test_too_few_channels_for_umap_neighbors_fails_before_graphs(tmp_path, capsys):
+    comments = synth_corpus(tmp_path / "small", 4)
+    assert main(["ingest", "--input", comments]) == 0  # ingest alone takes any corpus
+    out = tmp_path / "run"
+    assert main(["pipeline", "--input", comments, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'ingest' failed")
+    assert "4 channels" in err and "umap_neighbors=5" in err
+    assert files_under(out) == ["INCOMPLETE"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k-min", "8"],  # k_max defaults to min(10, 8 - 1) = 7
+    ["--k-min", "1"],
+    ["--k-min", "4", "--k-max", "3"],
+])
+def test_empty_k_range_fails_before_graphs(corpus_dir, tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    code = main(["pipeline", "--input", str(corpus_dir / "comments.csv"),
+                 "--out", str(out), "--umap-neighbors", "3", *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "8 channels" in err and f"k_min={flags[1]}" in err
+    assert files_under(out) == ["INCOMPLETE"]
+
+
+@pytest.fixture(scope="module")
+def ten_channel_out(tmp_path_factory):
+    base = tmp_path_factory.mktemp("ten")
+    out = base / "out"
+    assert main(["pipeline", "--input", synth_corpus(base, 10), "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    (out / "graphs" / "notes.txt").write_text("kept\n")
+    return out
+
+
+def test_failed_rerun_leaves_no_stale_artifacts(ten_channel_out, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(ten_channel_out, out)
+    assert "graphs/ch09.gexf" in files_under(out)
+    comments = synth_corpus(tmp_path / "small", 4)
+    assert main(["pipeline", "--input", comments, "--out", str(out)]) == 1
+    assert files_under(out) == ["INCOMPLETE", "graphs/notes.txt", "notes.txt"]
+
+
+def test_smaller_rerun_leaves_no_stale_artifacts(ten_channel_out, corpus_dir,
+                                                 pipeline_out, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(ten_channel_out, out)
+    assert main(["pipeline", "--input", str(corpus_dir / "comments.csv"),
+                 "--out", str(out), "--seed", "0"]) == 0
+    assert files_under(out) == sorted(files_under(pipeline_out)
+                                      + ["graphs/notes.txt", "notes.txt"])
+    for name in files_under(pipeline_out):
+        if name != "report.json":
+            assert read_bytes(out / name) == read_bytes(pipeline_out / name), name
+    reports = [strip_timings(json.loads((d / "report.json").read_text()))
+               for d in (out, pipeline_out)]
+    for report in reports:
+        del report["config"]["out"]
+    assert reports[0] == reports[1]
 
 
 # --- configuration layering ----------------------------------------------------------

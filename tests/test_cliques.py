@@ -3,7 +3,9 @@ import io
 import numpy as np
 import pytest
 
+from mobgraph import synth
 from mobgraph.cliques import (
+    _degeneracy_order,
     clique_census,
     maximal_cliques,
     rank_channels,
@@ -11,6 +13,8 @@ from mobgraph.cliques import (
 )
 from mobgraph.errors import CliqueBudgetExceeded, MissingLabel
 from mobgraph.graph import Graph
+from mobgraph.ingest import CommentRecord, build_co_commenter_graph
+from mobgraph.pipeline import PipelineConfig, RunState, count_cliques
 
 from conftest import permuted_copy, random_graph
 
@@ -36,6 +40,49 @@ def exhaustive_maximal_cliques(graph):
             continue  # extensible, not maximal
         found.add(frozenset(nodes[i] for i in members))
     return found
+
+
+def reference_maximal_cliques(graph):
+    """The set-based Bron-Kerbosch the bitset census replaced: degeneracy
+    order, pivot covering the most of P (ties toward the smaller id). Slow,
+    but it scales past the exhaustive sweep."""
+    adj = {u: set(graph.neighbors(u)) for u in graph.nodes()}
+
+    def expand(r, p, x):
+        if not p and not x:
+            yield frozenset(r)
+            return
+        pivot = min(p | x, key=lambda u: (-len(p & adj[u]), u))
+        for v in sorted(p - adj[pivot]):
+            yield from expand(r | {v}, p & adj[v], x & adj[v])
+            p.remove(v)
+            x.add(v)
+
+    order = _degeneracy_order(graph)
+    rank = {u: i for i, u in enumerate(order)}
+    for v in order:
+        later = {u for u in adj[v] if rank[u] > rank[v]}
+        earlier = {u for u in adj[v] if rank[u] < rank[v]}
+        yield from expand({v}, later, earlier)
+
+
+def assert_matches_reference(graph):
+    """Clique set, emission count and census histogram all equal the
+    set-based reference; returns the number of maximal cliques."""
+    expected = list(reference_maximal_cliques(graph))
+    ours = maximal_cliques(graph, budget=None)
+    assert len(ours) == len(expected)
+    assert set(ours) == set(expected)
+    histogram = {}
+    for clique in expected:
+        histogram[len(clique)] = histogram.get(len(clique), 0) + 1
+    for min_size in (1, 3, 5):
+        census = clique_census(graph, min_size=min_size, budget=None)
+        assert census.channel_id == graph.name
+        assert census.histogram == dict(sorted(histogram.items()))
+        assert list(census.histogram) == sorted(census.histogram)
+        assert census.count == sum(1 for c in expected if len(c) >= min_size)
+    return len(expected)
 
 
 def complete_graph(n):
@@ -108,6 +155,75 @@ def test_budget_cap():
         list(maximal_cliques(g, budget=3))
     with pytest.raises(CliqueBudgetExceeded):
         clique_census(g, min_size=3, budget=7)
+
+
+def test_matches_set_based_reference_on_dense_graphs():
+    rng = np.random.default_rng(35)
+    for n, p in ((40, 0.8), (50, 0.7), (60, 0.6), (70, 0.55), (80, 0.5)):
+        assert assert_matches_reference(random_graph(rng, n, p, name=f"g{n}")) > 1000
+
+
+def _lone_commenters(channel, count):
+    """Records of commenters who each comment alone on their own video."""
+    return [
+        CommentRecord(channel, f"{channel}-lone-v{i}", f"lone{i:02d}", f"{channel}-lone-c{i}")
+        for i in range(count)
+    ]
+
+
+def test_isolated_commenters_are_size_one_cliques():
+    records, _ = synth.generate_corpus(synth.two_family_config(
+        n_channels=4, videos_per_channel=10, organic_commenters=20))
+    records += _lone_commenters("ch00", 3)
+    graph = build_co_commenter_graph(records, "ch00", include_isolated=True)
+    assert_matches_reference(graph)
+    census = clique_census(graph, min_size=1)
+    assert census.histogram[1] == sum(1 for u in graph.nodes() if graph.degree(u) == 0) >= 3
+    without = clique_census(build_co_commenter_graph(records, "ch00"), min_size=1)
+    assert 1 not in without.histogram
+
+
+def test_merged_graph_matches_reference():
+    records, _ = synth.generate_corpus(synth.two_family_config(
+        n_channels=4, videos_per_channel=8, organic_commenters=15))
+    graph = build_co_commenter_graph(records, None)
+    assert graph.name == "merged"
+    assert assert_matches_reference(graph) > 0
+
+
+def test_budget_boundary_is_exact():
+    rng = np.random.default_rng(36)
+    g = random_graph(rng, 40, 0.6, name="edge")
+    total = sum(1 for _ in reference_maximal_cliques(g))
+    assert len(maximal_cliques(g, budget=total)) == total
+    assert sum(clique_census(g, budget=total).histogram.values()) == total
+    with pytest.raises(CliqueBudgetExceeded) as err:
+        clique_census(g, budget=total - 1)
+    assert err.value.budget == total - 1
+    assert "'edge'" in str(err.value)
+    with pytest.raises(CliqueBudgetExceeded):
+        maximal_cliques(g, budget=total - 1)
+
+
+def test_count_cliques_same_census_for_one_and_two_threads(tmp_path):
+    records, _ = synth.generate_corpus(synth.two_family_config(
+        n_channels=6, videos_per_channel=15, organic_commenters=30))
+    channels = sorted({r.channel_id for r in records})
+    graphs = {c: build_co_commenter_graph(records, c) for c in channels}
+    censuses = {}
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        out.mkdir()
+        state = RunState(PipelineConfig(out=str(out), threads=threads),
+                         channels=channels, graphs=graphs)
+        count_cliques(state)
+        assert [c.channel_id for c in state.censuses] == channels
+        censuses[threads] = (state.censuses, (out / "cliques.csv").read_bytes())
+    assert censuses[1] == censuses[2]
+    assert any(census.count for census in censuses[1][0])
+    for census in censuses[1][0]:
+        expected = sum(1 for _ in reference_maximal_cliques(graphs[census.channel_id]))
+        assert sum(census.histogram.values()) == expected
 
 
 # --- census ------------------------------------------------------------------------
