@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyVocabulary, NonFiniteUpdate, ZeroVector
-from .seeding import rng_for
+from .seeding import buffered_draws, rng_for
 from .textio import TextTarget, read_id_table, write_id_table
 from .wl import GraphDocument
 
@@ -62,15 +62,6 @@ def build_vocabulary(
     return Vocabulary(index=index, counts=retained)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def pair_objective(
     doc_vec: np.ndarray, token_vecs: np.ndarray, labels: np.ndarray
 ) -> float:
@@ -89,9 +80,13 @@ def pair_gradients(
     doc_vec: np.ndarray, token_vecs: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascent gradients of pair_objective wrt doc_vec and token_vecs."""
-    err = labels - _sigmoid(token_vecs @ doc_vec)
+    f = token_vecs @ doc_vec
+    # sigma(f) as 1/(1 + e^-f) for f >= 0 and e^f/(1 + e^f) below: one
+    # exp that cannot overflow.
+    e = np.exp(-np.abs(f))
+    err = labels - np.where(f >= 0, 1.0, e) / (1.0 + e)
     grad_doc = err @ token_vecs
-    grad_tokens = np.outer(err, doc_vec)
+    grad_tokens = err[:, None] * doc_vec
     return grad_doc, grad_tokens
 
 
@@ -137,7 +132,7 @@ def train_embeddings(
         -0.5 / dim, 0.5 / dim, (len(vocab), dim)
     )
 
-    token_ids: list[np.ndarray] = []
+    token_ids: list[list[int]] = []
     for doc in documents:
         kept = [vocab.index[t] for t in doc.tokens if t in vocab.index]
         if not kept:
@@ -146,7 +141,7 @@ def train_embeddings(
                 "the seeded initialization",
                 doc.graph_id,
             )
-        token_ids.append(np.array(kept, dtype=np.int64))
+        token_ids.append(kept)
 
     # Canonical schedule sorted by graph id: noise draws do not depend on
     # the order documents were passed in.
@@ -156,43 +151,49 @@ def train_embeddings(
     noise_rng = rng_for(seed, "noise")
     cum = _noise_cumulative(vocab)
     total_mass = float(cum[-1])
+    noise = buffered_draws(
+        lambda k: np.searchsorted(
+            cum, noise_rng.random(k) * total_mass, side="right"
+        ).tolist()
+    )
     labels = np.zeros(1 + negative, dtype=np.float64)
     labels[0] = 1.0
     single_token = len(vocab) == 1
+    lr_span = final_lr - initial_lr
+    doc_rows = list(docvecs)  # row views: updating one updates docvecs
 
     update = 0
     for epoch in range(epochs):
         epoch_objective = 0.0
         for di in order:
+            doc_vec = doc_rows[di]
             for w in token_ids[di]:
                 if total_updates > 1:
-                    lr = initial_lr + (final_lr - initial_lr) * (
-                        update / (total_updates - 1)
-                    )
+                    lr = initial_lr + lr_span * (update / (total_updates - 1))
                 else:
                     lr = initial_lr
                 if single_token:
-                    idx = np.array([w], dtype=np.int64)
+                    idx = np.array([w])
                     lab = labels[:1]
+                    distinct = True
                 else:
                     negs: list[int] = []
                     while len(negs) < negative:
-                        draw = int(
-                            np.searchsorted(
-                                cum, noise_rng.random() * total_mass, side="right"
-                            )
-                        )
+                        draw = next(noise)
                         if draw != w:
                             negs.append(draw)
-                    idx = np.array([w] + negs, dtype=np.int64)
+                    idx = np.array([w] + negs)
                     lab = labels
+                    distinct = len(set(negs)) == negative
                 rows = tokenvecs[idx]
-                v_old = docvecs[di].copy()
                 if objective_out is not None:
-                    epoch_objective += pair_objective(v_old, rows, lab)
-                grad_doc, grad_tokens = pair_gradients(v_old, rows, lab)
-                np.add.at(tokenvecs, idx, lr * grad_tokens)
-                docvecs[di] += lr * grad_doc
+                    epoch_objective += pair_objective(doc_vec, rows, lab)
+                grad_doc, grad_tokens = pair_gradients(doc_vec, rows, lab)
+                if distinct:
+                    tokenvecs[idx] = rows + lr * grad_tokens
+                else:  # a repeated row must take its updates one after another
+                    np.add.at(tokenvecs, idx, lr * grad_tokens)
+                doc_vec += lr * grad_doc
                 update += 1
         if objective_out is not None:
             objective_out.append(epoch_objective / max(1, pairs_per_epoch))

@@ -13,6 +13,7 @@ from typing import IO, Union
 
 from .errors import DirectedGraphUnsupported, MalformedGexf
 from .graph import Graph, canonical_edge
+from .textio import replacing
 
 GEXF_XMLNS = "http://www.gexf.net/1.2draft"
 
@@ -27,7 +28,8 @@ def _format_weight(w: float) -> str:
 
 
 def write_gexf(graph: Graph, sink: Sink) -> None:
-    """Serialize an undirected weighted graph as GEXF 1.2."""
+    """Serialize an undirected weighted graph as GEXF 1.2; a path is
+    replaced whole, never left half written."""
     root = ET.Element("gexf", {"xmlns": GEXF_XMLNS, "version": "1.2"})
     meta = ET.SubElement(root, "meta")
     ET.SubElement(meta, "description").text = graph.name
@@ -48,7 +50,7 @@ def write_gexf(graph: Graph, sink: Sink) -> None:
     ET.indent(tree)
     payload = ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
     if isinstance(sink, (str, Path)):
-        with open(sink, "wb") as f:
+        with replacing(sink, "wb") as f:
             f.write(payload)
     else:
         sink.write(payload)

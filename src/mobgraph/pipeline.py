@@ -1,12 +1,13 @@
 """End-to-end orchestration: comments in, ranked channels and artifacts out.
 
 Stage order: ingest -> graphs -> wl -> embed -> reduce -> cluster -> cliques
--> rank -> report. Each step is one function over a RunState; `STAGES` lists
-them in order with the config fields they read, and both run_pipeline and
-the CLI subcommands call these same functions. The first failing stage
-aborts the run, names itself in the raised error, and leaves an INCOMPLETE
-marker in the output directory. Given one seed, two runs produce
-byte-identical artifacts except timings.
+-> rank -> report; the graphs stage writes its GEXF files after embed. Each
+step is one function over a RunState; `STAGES` lists them in order with the
+config fields they read, and both run_pipeline and the CLI subcommands call
+these same functions. The first failing stage aborts the run, names itself
+in the raised error, and leaves an INCOMPLETE marker in the output
+directory. Given one seed, two runs produce byte-identical artifacts except
+timings.
 """
 
 from __future__ import annotations
@@ -435,9 +436,11 @@ STAGES: tuple[tuple[str, Callable[[RunState], None], tuple[str, ...]], ...] = (
     ("ingest", read_comments, ("format",)),
     ("ingest", check_corpus_size, ("umap_neighbors", "k_min", "k_max")),
     ("graphs", build_graphs, ("threads", "min_shared_videos", "include_isolated")),
-    ("graphs", write_graphs, ("threads",)),
     ("wl", extract_documents, ("threads", "wl_iterations", "wl_weight_buckets")),
     ("embed", embed_documents, ("seed", "dim", "lr", "min_count", "epochs", "negative")),
+    # After embed, whose vocabulary can still come out empty: a run that
+    # fails there has written no graph.
+    ("graphs", write_graphs, ("threads",)),
     ("reduce", reduce_points, (
         "seed", "umap_neighbors", "umap_min_dist", "umap_components",
         "umap_spread", "umap_epochs", "umap_negative_rate",

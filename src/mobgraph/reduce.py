@@ -17,7 +17,7 @@ from scipy.optimize import curve_fit
 from scipy.sparse.csgraph import connected_components
 
 from .errors import NoConvergence, NonFiniteCoordinate, TooFewPoints
-from .seeding import rng_for
+from .seeding import buffered_draws, rng_for
 from .textio import TextTarget, read_id_table, write_id_table
 
 logger = logging.getLogger(__name__)
@@ -210,33 +210,6 @@ def _spectral_init(strengths: np.ndarray, n_components: int, seed: int) -> np.nd
     return embedding
 
 
-def _clip(x: float) -> float:
-    if x > GRAD_CLIP:
-        return GRAD_CLIP
-    if x < -GRAD_CLIP:
-        return -GRAD_CLIP
-    return x
-
-
-class _IntStream:
-    """Buffered uniform integer draws from one seeded generator."""
-
-    def __init__(self, rng: np.random.Generator, n: int, block: int = 8192):
-        self._rng = rng
-        self._n = n
-        self._block = block
-        self._buf: list[int] = []
-        self._pos = 0
-
-    def next(self) -> int:
-        if self._pos >= len(self._buf):
-            self._buf = self._rng.integers(0, self._n, self._block).tolist()
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value
-
-
 def optimize_layout(
     fuzzy: FuzzyGraph,
     n_components: int = 4,
@@ -285,54 +258,73 @@ def optimize_layout(
     mu[mu < mx / epochs] = 0.0
     heads, tails = np.nonzero(mu)
     weights = mu[heads, tails]
-    eps_attract = mx / weights  # epochs between samples of each edge
-    next_attract = eps_attract.copy()
-    eps_negative = eps_attract / negative_rate
-    next_negative = eps_negative.copy()
+    eps_attract = (mx / weights).tolist()  # epochs between samples of each edge
+    next_attract = list(eps_attract)
+    eps_negative = (mx / weights / negative_rate).tolist()
+    next_negative = list(eps_negative)
+    # The loop runs on Python lists and floats: the same IEEE operations in
+    # the same order as on numpy arrays, without a numpy scalar per step.
+    # Squared distances are summed left to right, not with sum(), which
+    # compensates rounding from Python 3.12 on.
+    edges = list(zip(heads.tolist(), tails.tolist()))
+    attract_scale = -2.0 * a * b
+    attract_power = b - 1.0
+    repel_scale = 2.0 * b
+    components = range(n_components)
+    clip_hi = GRAD_CLIP  # locals: read on every step of the innermost loops
+    clip_lo = -GRAD_CLIP
 
-    emb = [[float(x) for x in row] for row in init]
-    draws = _IntStream(rng_for(seed, "layout"), n)
-    n_edges = heads.shape[0]
+    emb = init.tolist()
+    rng = rng_for(seed, "layout")
+    draws = buffered_draws(lambda k: rng.integers(0, n, k).tolist())
     for epoch in range(epochs):
         alpha = 1.0 - epoch / epochs
-        for e in range(n_edges):
+        for e, (i, j) in enumerate(edges):
             if next_attract[e] > epoch:
                 continue
-            i = int(heads[e])
-            j = int(tails[e])
             cur = emb[i]
             oth = emb[j]
             d2 = 0.0
-            for t in range(n_components):
+            for t in components:
                 diff = cur[t] - oth[t]
                 d2 += diff * diff
             if d2 > 0.0:
-                coeff = (-2.0 * a * b * d2 ** (b - 1.0)) / (a * d2 ** b + 1.0)
+                coeff = attract_scale * d2 ** attract_power / (a * d2 ** b + 1.0)
             else:
                 coeff = 0.0
-            for t in range(n_components):
-                g = _clip(coeff * (cur[t] - oth[t]))
-                cur[t] += g * alpha
-                oth[t] -= g * alpha
+            for t in components:
+                g = coeff * (cur[t] - oth[t])
+                if g > clip_hi:
+                    g = clip_hi
+                elif g < clip_lo:
+                    g = clip_lo
+                step = g * alpha
+                cur[t] += step
+                oth[t] -= step
             next_attract[e] += eps_attract[e]
 
             n_neg = int((epoch - next_negative[e]) / eps_negative[e])
             for _ in range(n_neg):
-                kidx = draws.next()
+                kidx = next(draws)
                 if kidx == i:
                     continue
                 oth = emb[kidx]
                 d2 = 0.0
-                for t in range(n_components):
+                for t in components:
                     diff = cur[t] - oth[t]
                     d2 += diff * diff
                 if d2 > 0.0:
-                    coeff = (2.0 * b) / ((0.001 + d2) * (a * d2 ** b + 1.0))
-                    for t in range(n_components):
-                        cur[t] += _clip(coeff * (cur[t] - oth[t])) * alpha
+                    coeff = repel_scale / ((0.001 + d2) * (a * d2 ** b + 1.0))
+                    for t in components:
+                        g = coeff * (cur[t] - oth[t])
+                        if g > clip_hi:
+                            g = clip_hi
+                        elif g < clip_lo:
+                            g = clip_lo
+                        cur[t] += g * alpha
                 else:
-                    for t in range(n_components):
-                        cur[t] += GRAD_CLIP * alpha
+                    for t in components:
+                        cur[t] += clip_hi * alpha
             next_negative[e] += n_neg * eps_negative[e]
         for row in emb:
             for x in row:

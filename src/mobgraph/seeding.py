@@ -9,6 +9,7 @@ the others.
 from __future__ import annotations
 
 import hashlib
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -26,3 +27,15 @@ def derive_seed(seed: int, *parts: str) -> int:
 def rng_for(seed: int, *parts: str) -> np.random.Generator:
     """Generator seeded from derive_seed(seed, *parts)."""
     return np.random.default_rng(derive_seed(seed, *parts))
+
+
+def buffered_draws(draw: Callable[[int], list], block: int = 8192) -> Iterator:
+    """The values of draw(block), draw(block), ... one at a time.
+
+    Sequential samplers take one random value per step; drawing them a
+    block per numpy call keeps the call overhead off each step. Generator
+    .random(n) and .integers(low, high, n) yield the same values as n
+    single draws, so the stream does not depend on the block size.
+    """
+    while True:
+        yield from draw(block)

@@ -3,7 +3,8 @@
 Every reader and writer takes a path or an already open stream. A path is
 opened as UTF-8 without newline translation and closed again; a stream is
 used as given (a binary one is decoded as UTF-8) and left open for its
-owner. Readers also take the content itself as bytes.
+owner. Readers also take the content itself as bytes. A path opened for
+writing is replaced whole once the writer is done, never left half written.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 from pathlib import Path
 from typing import IO, Iterator, Union
 
@@ -22,9 +24,26 @@ Source = Union[str, Path, bytes, IO[bytes], IO[str]]
 
 
 @contextlib.contextmanager
+def replacing(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
+    """open() for writing, through a temp file beside path: it is renamed
+    onto path when the block ends, and deleted if the block raises, which
+    leaves path as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextlib.contextmanager
 def open_text(target: Source, mode: str = "r") -> Iterator[IO[str]]:
     if isinstance(target, (str, Path)):
-        with open(target, mode, encoding="utf-8", newline="") as f:
+        opener = replacing if mode == "w" else open
+        with opener(target, mode, encoding="utf-8", newline="") as f:
             yield f
     elif isinstance(target, (bytes, io.RawIOBase, io.BufferedIOBase)):
         raw = io.BytesIO(target) if isinstance(target, bytes) else target

@@ -185,6 +185,16 @@ def ten_channel_out(tmp_path_factory):
     return out
 
 
+def test_empty_vocabulary_fails_before_graphs_are_written(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--input", str(corpus_dir / "comments.csv"),
+                 "--out", str(out), "--min-count", "100000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'embed' failed")
+    assert "min_count=100000" in err
+    assert files_under(out) == ["INCOMPLETE"]
+
+
 def test_failed_rerun_leaves_no_stale_artifacts(ten_channel_out, tmp_path):
     out = tmp_path / "out"
     shutil.copytree(ten_channel_out, out)

@@ -18,6 +18,7 @@ from mobgraph.embed import (
 )
 from mobgraph.errors import EmptyVocabulary, ZeroVector
 from mobgraph.graph import Graph
+from mobgraph.seeding import rng_for
 from mobgraph.wl import GraphDocument, extract_document
 
 
@@ -137,7 +138,6 @@ def test_oov_only_document_keeps_init_and_warns(caplog):
         matrix = train_embeddings(documents, vocab, dim=8, seed=3, epochs=2)
     assert any("no in-vocabulary tokens" in m for m in caplog.messages)
     dim = 8
-    from mobgraph.seeding import rng_for
     expected = rng_for(3, "doc", "oov").uniform(-0.5 / dim, 0.5 / dim, dim)
     row = matrix.vectors[matrix.graph_ids.index("oov")]
     assert np.array_equal(row, expected)
@@ -203,6 +203,116 @@ def test_single_token_vocabulary_trains_without_negatives():
     assert len(vocab) == 1
     matrix = train_embeddings(documents, vocab, dim=8, seed=1, epochs=3)
     assert np.isfinite(matrix.vectors).all()
+
+
+def reference_train_embeddings(documents, vocab, dim, initial_lr=0.025, epochs=10,
+                               negative=5, seed=0, objective_out=None):
+    """The one-draw-per-call trainer the buffered loop replaced: a noise
+    uniform per random() call, a two-branch sigmoid, np.outer, and
+    np.add.at for every update. Slow, but each step is plainly the
+    algorithm."""
+
+    def sigmoid(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    ids = [d.graph_id for d in documents]
+    final_lr = initial_lr / 100.0
+    docvecs = np.empty((len(documents), dim))
+    for i, gid in enumerate(ids):
+        docvecs[i] = rng_for(seed, "doc", gid).uniform(-0.5 / dim, 0.5 / dim, dim)
+    tokenvecs = rng_for(seed, "tokens").uniform(-0.5 / dim, 0.5 / dim, (len(vocab), dim))
+    token_ids = [
+        np.array([vocab.index[t] for t in d.tokens if t in vocab.index], dtype=np.int64)
+        for d in documents
+    ]
+    order = sorted(range(len(documents)), key=lambda i: ids[i])
+    pairs_per_epoch = sum(len(token_ids[i]) for i in order)
+    total_updates = epochs * pairs_per_epoch
+    noise_rng = rng_for(seed, "noise")
+    cum = _noise_cumulative(vocab)
+    total_mass = float(cum[-1])
+    labels = np.zeros(1 + negative)
+    labels[0] = 1.0
+    update = 0
+    for _epoch in range(epochs):
+        epoch_objective = 0.0
+        for di in order:
+            for w in token_ids[di]:
+                if total_updates > 1:
+                    lr = initial_lr + (final_lr - initial_lr) * (
+                        update / (total_updates - 1)
+                    )
+                else:
+                    lr = initial_lr
+                if len(vocab) == 1:
+                    idx = np.array([w], dtype=np.int64)
+                    lab = labels[:1]
+                else:
+                    negs = []
+                    while len(negs) < negative:
+                        draw = int(np.searchsorted(
+                            cum, noise_rng.random() * total_mass, side="right"))
+                        if draw != w:
+                            negs.append(draw)
+                    idx = np.array([w] + negs, dtype=np.int64)
+                    lab = labels
+                rows = tokenvecs[idx]
+                v_old = docvecs[di].copy()
+                if objective_out is not None:
+                    epoch_objective += pair_objective(v_old, rows, lab)
+                err = lab - sigmoid(rows @ v_old)
+                np.add.at(tokenvecs, idx, lr * np.outer(err, v_old))
+                docvecs[di] += lr * (err @ rows)
+                update += 1
+        if objective_out is not None:
+            objective_out.append(epoch_objective / max(1, pairs_per_epoch))
+    return EmbeddingMatrix(graph_ids=ids, vectors=docvecs)
+
+
+def wl_corpus():
+    return [extract_document(cycle_graph(12, f"cyc{i}"), 2) for i in range(10)] + [
+        extract_document(star_graph(12, f"star{i}"), 2) for i in range(10)
+    ]
+
+
+REFERENCE_CASES = {
+    # (documents, min_count, negative, epochs)
+    "three tokens, negatives always repeat": (small_corpus()[0], 2, 5, 4),
+    "three tokens, negatives sometimes repeat": (small_corpus()[0], 2, 2, 4),
+    "two tokens, one negative": (
+        [doc("g0", ["a", "b"] * 4), doc("g1", ["b", "b", "a"] * 3)], 2, 1, 5),
+    "two tokens, negatives repeat": (
+        [doc("g0", ["a", "b"] * 4), doc("g1", ["b", "b", "a"] * 3)], 2, 3, 5),
+    "single token": ([doc("a", ["t"] * 6), doc("b", ["t"] * 6)], 5, 5, 3),
+    "draws refill the buffer": (wl_corpus(), 5, 5, 3),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_matches_one_draw_per_call_reference(case):
+    documents, min_count, negative, epochs = REFERENCE_CASES[case]
+    vocab = build_vocabulary(documents, min_count=min_count)
+    if case == "draws refill the buffer":
+        kept = sum(t in vocab.index for d in documents for t in d.tokens)
+        assert kept * epochs * negative > 8192  # more than one block of draws
+    ours_objective, ref_objective = [], []
+    ours = train_embeddings(documents, vocab, dim=8, epochs=epochs, negative=negative,
+                            seed=6, objective_out=ours_objective)
+    ref = reference_train_embeddings(documents, vocab, dim=8, epochs=epochs,
+                                     negative=negative, seed=6,
+                                     objective_out=ref_objective)
+    assert ours.graph_ids == ref.graph_ids
+    assert ours.vectors.tobytes() == ref.vectors.tobytes()
+    assert ours_objective == ref_objective
+    # The objective is evaluated, never fed back: leaving it out changes nothing.
+    quiet = train_embeddings(documents, vocab, dim=8, epochs=epochs,
+                             negative=negative, seed=6)
+    assert quiet.vectors.tobytes() == ours.vectors.tobytes()
 
 
 def test_duplicate_graph_ids_rejected():

@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -59,6 +60,25 @@ def test_write_is_byte_deterministic(tmp_path):
     path = tmp_path / "g.gexf"
     write_gexf(g, path)
     assert path.read_bytes() == a.getvalue()
+
+
+def test_failed_write_leaves_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "chan.gexf"
+    old = Graph("old")
+    old.add_edge("a", "b")
+    write_gexf(old, path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    new = Graph("new")
+    new.add_edge("c", "d")
+    with pytest.raises(OSError, match="rename failed"):
+        write_gexf(new, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["chan.gexf"]
 
 
 def test_gexf_structure_markers():

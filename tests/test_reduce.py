@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mobgraph import reduce as reduce_mod
 from mobgraph.errors import TooFewPoints
 from mobgraph.reduce import (
     MIN_SIGMA_SCALE,
@@ -20,6 +21,7 @@ from mobgraph.reduce import (
     smooth_knn,
     write_reduced_csv,
 )
+from mobgraph.seeding import rng_for
 
 
 def two_blobs(rng, per_blob=10, dim=16, separation=20.0):
@@ -296,6 +298,138 @@ def test_layout_rejects_bad_parameters():
         optimize_layout(fuzzy, epochs=0)
     with pytest.raises(ValueError):
         optimize_layout(FuzzyGraph(np.zeros((0, 0))))
+
+
+def reference_optimize_layout(fuzzy, n_components, a, b, epochs, negative_rate, seed):
+    """The layout loop the list-based one replaced, step for step: numpy
+    schedules, a clip function, an integer draw object refilled 8192 at a
+    time. Initialization goes through the module's own functions, so a
+    test that patches them patches both."""
+
+    class IntStream:
+        def __init__(self, rng, n, block=8192):
+            self._rng, self._n, self._block = rng, n, block
+            self._buf, self._pos = [], 0
+
+        def next(self):
+            if self._pos >= len(self._buf):
+                self._buf = self._rng.integers(0, self._n, self._block).tolist()
+                self._pos = 0
+            value = self._buf[self._pos]
+            self._pos += 1
+            return value
+
+    def clip(x):
+        if x > 4.0:
+            return 4.0
+        if x < -4.0:
+            return -4.0
+        return x
+
+    strengths = fuzzy.strengths
+    n = strengths.shape[0]
+    if reduce_mod._layout_init_mode(strengths, n_components) == "random":
+        init = reduce_mod._random_init(n, n_components, seed)
+    else:
+        init = reduce_mod._spectral_init(strengths, n_components, seed)
+    mx = float(strengths.max())
+    mu = strengths.copy()
+    mu[mu < mx / epochs] = 0.0
+    heads, tails = np.nonzero(mu)
+    eps_attract = mx / mu[heads, tails]
+    next_attract = eps_attract.copy()
+    eps_negative = eps_attract / negative_rate
+    next_negative = eps_negative.copy()
+    emb = [[float(x) for x in row] for row in init]
+    draws = IntStream(rng_for(seed, "layout"), n)
+    for epoch in range(epochs):
+        alpha = 1.0 - epoch / epochs
+        for e in range(heads.shape[0]):
+            if next_attract[e] > epoch:
+                continue
+            i, j = int(heads[e]), int(tails[e])
+            cur, oth = emb[i], emb[j]
+            d2 = 0.0
+            for t in range(n_components):
+                diff = cur[t] - oth[t]
+                d2 += diff * diff
+            if d2 > 0.0:
+                coeff = (-2.0 * a * b * d2 ** (b - 1.0)) / (a * d2 ** b + 1.0)
+            else:
+                coeff = 0.0
+            for t in range(n_components):
+                g = clip(coeff * (cur[t] - oth[t]))
+                cur[t] += g * alpha
+                oth[t] -= g * alpha
+            next_attract[e] += eps_attract[e]
+            n_neg = int((epoch - next_negative[e]) / eps_negative[e])
+            for _ in range(n_neg):
+                kidx = draws.next()
+                if kidx == i:
+                    continue
+                oth = emb[kidx]
+                d2 = 0.0
+                for t in range(n_components):
+                    diff = cur[t] - oth[t]
+                    d2 += diff * diff
+                if d2 > 0.0:
+                    coeff = (2.0 * b) / ((0.001 + d2) * (a * d2 ** b + 1.0))
+                    for t in range(n_components):
+                        cur[t] += clip(coeff * (cur[t] - oth[t])) * alpha
+                else:
+                    for t in range(n_components):
+                        cur[t] += 4.0 * alpha
+            next_negative[e] += n_neg * eps_negative[e]
+    return np.array(emb, dtype=np.float64)
+
+
+def fuzzy_for(points, n_neighbors=5):
+    return fuzzy_union(smooth_knn(knn_exact(points, n_neighbors)))
+
+
+def assert_matches_reference(fuzzy, n_components, negative_rate, epochs=60, seed=3):
+    a, b = fit_curve_params()
+    ours = optimize_layout(fuzzy, n_components=n_components, a=a, b=b, epochs=epochs,
+                           negative_rate=negative_rate, seed=seed)
+    ref = reference_optimize_layout(fuzzy, n_components, a, b, epochs,
+                                    negative_rate, seed)
+    assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n_components", [2, 4])
+@pytest.mark.parametrize("negative_rate", [1, 5])
+@pytest.mark.parametrize("init", ["random", "spectral"])
+def test_layout_matches_reference(init, n_components, negative_rate):
+    rng = np.random.default_rng(40 + n_components + negative_rate)
+    if init == "random":  # two far blobs: the fuzzy graph is disconnected
+        points = two_blobs(rng, separation=100.0)
+    else:
+        points = rng.normal(0.0, 1.0, (20, 16))
+    fuzzy = fuzzy_for(points)
+    assert reduce_mod._layout_init_mode(fuzzy.strengths, n_components) == init
+    assert_matches_reference(fuzzy, n_components, negative_rate)
+
+
+def test_layout_matches_reference_past_one_block_of_draws():
+    fuzzy = fuzzy_for(np.random.default_rng(45).normal(0.0, 1.0, (30, 8)))
+    # An edge fires strength/max times an epoch and draws negative_rate
+    # noise points each time.
+    strengths = fuzzy.strengths
+    assert (strengths / strengths.max()).sum() * 100 * 5 > 3 * 8192
+    assert_matches_reference(fuzzy, 4, 5, epochs=100)
+
+
+def test_layout_matches_reference_on_coincident_points(monkeypatch):
+    """Points laid out on top of each other take the d2 == 0 branches:
+    attraction does nothing, repulsion moves by the clip bound."""
+    def stacked_init(n, n_components, seed):
+        return np.repeat(np.arange(n // 5, dtype=np.float64), 5)[:n, None] * np.ones(
+            n_components)
+
+    monkeypatch.setattr(reduce_mod, "_random_init", stacked_init)
+    fuzzy = fuzzy_for(two_blobs(np.random.default_rng(46), separation=100.0))
+    for n_components in (2, 4):
+        assert_matches_reference(fuzzy, n_components, 5)
 
 
 # --- persistence -------------------------------------------------------------------
