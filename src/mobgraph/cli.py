@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import os
 import sys
 from collections import Counter
@@ -20,7 +19,7 @@ from . import pipeline
 from . import reduce as reduce_mod
 from . import synth as synth_mod
 from .errors import MobgraphError
-from .textio import write_json
+from .textio import read_json, write_json
 from .pipeline import (
     CHOICES,
     CONFIG_FIELDS,
@@ -221,8 +220,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_cliques(args: argparse.Namespace) -> int:
     state = _state(args)
     if args.report:
-        with open(args.report, "r", encoding="utf-8") as f:
-            state.clustering = json.load(f)["clustering"]
+        state.clustering = read_json(args.report, "clustering")["clustering"]
     for step in STEPS["cliques"]:
         step(state)
     for census in sorted(state.censuses, key=lambda c: (-c.count, c.channel_id)):
@@ -263,8 +261,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    with open(args.input, "r", encoding="utf-8") as f:
-        report = json.load(f)
+    report = read_json(args.input, "channels", "clustering", "cliques", "ranking")
     km = report["clustering"]["kmeans"]
     hier = report["clustering"]["hierarchical"]
     print(f"channels ({len(report['channels'])}): {', '.join(report['channels'])}")

@@ -82,6 +82,8 @@ def kmeans(points, k: int, seed: int = 0, n_init: int = 10) -> KMeansResult:
     Empty clusters are repaired by re-seeding on the point farthest from its
     assigned centroid. Ties between restarts break toward the earlier one.
     """
+    if n_init < 1:
+        raise ValueError(f"n_init must be >= 1, got {n_init}")
     points = _as_points(points)
     n = points.shape[0]
     if not 1 <= k <= n:
@@ -117,7 +119,6 @@ def kmeans(points, k: int, seed: int = 0, n_init: int = 10) -> KMeansResult:
         inertia = float(assigned.sum())
         if best is None or inertia < best.inertia:
             best = KMeansResult(labels=labels, centroids=centers, inertia=inertia)
-    assert best is not None
     return best
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -22,6 +23,9 @@ logger = logging.getLogger(__name__)
 REQUIRED_COLUMNS = ("channel_id", "video_id", "commenter_id", "comment_id")
 OPTIONAL_COLUMNS = ("published_at", "text")
 CSV_HEADER = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
+# What a channel or commenter id may not hold: control characters (XML cannot
+# carry most of them), surrogates, and the non-characters U+FFFE and U+FFFF.
+_NOT_XML = re.compile("[\x00-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,12 @@ def _make_record(line: int, fields: dict[str, str | None]) -> CommentRecord:
     if fields.get("comment_id") is None:
         raise MalformedRow(line, "missing comment_id")
     channel = fields["channel_id"]  # becomes a file name: graphs/<channel>.gexf
-    if channel in (".", "..") or any(c in channel for c in "/\\\0"):
+    if channel in (".", "..") or any(c in channel for c in "/\\"):
         raise MalformedRow(line, f"channel_id {channel!r} is not a safe file name")
+    for col in ("channel_id", "commenter_id"):  # both are written into GEXF
+        if _NOT_XML.search(fields[col]):
+            raise MalformedRow(line, f"{col} {fields[col]!r} holds a character "
+                                     f"that GEXF cannot carry")
     return CommentRecord(
         channel_id=fields["channel_id"],  # type: ignore[arg-type]
         video_id=fields["video_id"],  # type: ignore[arg-type]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,12 +33,13 @@ from .errors import (
     DegenerateVariance,
     InvalidConfig,
     InvalidK,
+    MobgraphError,
     PipelineStageError,
     SingleCluster,
     TooFewPoints,
 )
 from .graph import Graph
-from .textio import write_json
+from .textio import read_json, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -90,17 +90,19 @@ class PipelineConfig:
 
 CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
 CHOICES = {"format": ("csv", "json-lines"), "cluster_space": ("reduced", "embeddings")}
+# The least value of each integer setting that its stage can run with.
+LOWER_BOUNDS = {
+    "threads": 1, "min_shared_videos": 1, "wl_iterations": 0, "dim": 1,
+    "min_count": 1, "umap_epochs": 1, "clique_min_size": 1, "n_init": 1,
+}
 
 
 def load_config_file(path: str | Path) -> dict:
     """Read a JSON config file: one flat object, keys = PipelineConfig fields."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"config file {path}: {exc.msg}") from None
-    if not isinstance(data, dict):
-        raise InvalidConfig(f"config file {path}: expected a JSON object")
+    try:
+        data = read_json(path)
+    except MobgraphError as exc:
+        raise InvalidConfig(f"config file {exc}") from None
     for key in data:
         if key not in CONFIG_FIELDS:
             raise InvalidConfig(f"unknown config key {key!r}")
@@ -123,8 +125,10 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
             raise InvalidConfig(
                 f"{key} must be {' or '.join(map(repr, allowed))}, got {value!r}"
             )
-    if config.threads < 1:
-        raise InvalidConfig(f"threads must be >= 1, got {config.threads}")
+    for key, least in LOWER_BOUNDS.items():
+        value = getattr(config, key)
+        if value < least:
+            raise InvalidConfig(f"{key} must be >= {least}, got {value}")
     return config
 
 

@@ -3,8 +3,9 @@
 Every reader and writer takes a path or an already open stream. A path is
 opened as UTF-8 without newline translation and closed again; a stream is
 used as given (a binary one is decoded as UTF-8) and left open for its
-owner. Readers also take the content itself as bytes. A path opened for
-writing is replaced whole once the writer is done, never left half written.
+owner. Readers also take the content itself as bytes, and input that is not
+UTF-8 is a MobgraphError naming it. A path opened for writing is replaced
+whole once the writer is done, never left half written.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from typing import IO, Iterator, Union
 
 import numpy as np
 
-TextTarget = Union[str, Path, IO[str]]
-Source = Union[str, Path, bytes, IO[bytes], IO[str]]
+from .errors import MobgraphError
+
+TextTarget = Union[str, Path, IO[str], IO[bytes]]
+Source = Union[TextTarget, bytes]
 
 
 @contextlib.contextmanager
@@ -41,19 +44,39 @@ def replacing(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
 
 @contextlib.contextmanager
 def open_text(target: Source, mode: str = "r") -> Iterator[IO[str]]:
-    if isinstance(target, (str, Path)):
-        opener = replacing if mode == "w" else open
-        with opener(target, mode, encoding="utf-8", newline="") as f:
-            yield f
-    elif isinstance(target, (bytes, io.RawIOBase, io.BufferedIOBase)):
-        raw = io.BytesIO(target) if isinstance(target, bytes) else target
-        wrapper = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+    try:
+        if isinstance(target, (str, Path)):
+            opener = replacing if mode == "w" else open
+            with opener(target, mode, encoding="utf-8", newline="") as f:
+                yield f
+        elif isinstance(target, (bytes, io.RawIOBase, io.BufferedIOBase)):
+            raw = io.BytesIO(target) if isinstance(target, bytes) else target
+            wrapper = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+            try:
+                yield wrapper
+            finally:
+                wrapper.detach()  # closing the wrapper would close the caller's stream
+        else:
+            yield target
+    except UnicodeDecodeError:
+        name = target if isinstance(target, (str, Path)) else getattr(target, "name", "input")
+        raise MobgraphError(f"{name} is not UTF-8 text") from None
+
+
+def read_json(path: str | Path, *keys: str) -> dict:
+    """The JSON object in path, which must hold each of keys; anything else
+    is a MobgraphError naming the file."""
+    with open_text(path) as stream:
         try:
-            yield wrapper
-        finally:
-            wrapper.detach()  # closing the wrapper would close the caller's stream
-    else:
-        yield target
+            data = json.load(stream)
+        except json.JSONDecodeError as exc:
+            raise MobgraphError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise MobgraphError(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in data:
+            raise MobgraphError(f"{path}: no {key!r} key")
+    return data
 
 
 def write_json(payload, sink: TextTarget) -> None:

@@ -454,6 +454,53 @@ def test_synth_flag_defaults_mirror_library_defaults():
         assert defaults[flag] == sig.parameters[param].default, flag
 
 
+def test_ingest_input_not_utf8_fails_cleanly(tmp_path, capsys):
+    source = tmp_path / "comments.csv"
+    source.write_bytes(b"channel_id,video_id,commenter_id,comment_id\nc1,v1,u\xff,m1\n")
+    assert main(["ingest", "--input", str(source)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "comments.csv is not UTF-8" in err
+    assert "Traceback" not in err
+
+
+BAD_JSON = {
+    "malformed": (b"{not json", "Expecting property name"),
+    "no clustering": (b'{"channels": [], "cliques": {}, "ranking": {}}', "'clustering'"),
+    "not an object": (b"[1, 2]", "expected a JSON object"),
+    "not utf-8": (b'{"clustering": "\xff"}', "not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_JSON)
+def test_report_and_cliques_reject_bad_json(corpus_dir, tmp_path, capsys, case):
+    content, detail = BAD_JSON[case]
+    bad = tmp_path / "report.json"
+    bad.write_bytes(content)
+    for argv in (["report", "--input", str(bad)],
+                 ["cliques", "--input", str(corpus_dir / "comments.csv"),
+                  "--out", str(tmp_path / "out"), "--report", str(bad)]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}"), argv[0]
+        assert detail in err, argv[0]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("threads", 0), ("dim", 0), ("n_init", 0), ("min_count", 0),
+    ("min_shared_videos", 0), ("umap_epochs", 0), ("clique_min_size", 0),
+    ("wl_iterations", -1),
+])
+def test_setting_below_its_bound_fails_before_ingest(tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    code = main(["pipeline", "--input", str(tmp_path / "never-read.csv"),
+                 "--out", str(out), "--" + flag.replace("_", "-"), str(value)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: invalid config: {flag} must be >= {value + 1}")
+    assert not out.exists()
+    resolve_config({}, {flag: value + 1})  # the bound itself is allowed
+
+
 def test_report_command_missing_file(tmp_path, capsys):
     code = main(["report", "--input", str(tmp_path / "absent.json")])
     assert code == 1

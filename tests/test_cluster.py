@@ -41,6 +41,11 @@ def make_blobs(rng, k=3, per=10, dim=4, sep=10.0):
 
 # --- k-means ----------------------------------------------------------------------
 
+def test_kmeans_rejects_zero_restarts():
+    with pytest.raises(ValueError, match="n_init must be >= 1"):
+        kmeans(np.zeros((3, 2)), 1, n_init=0)
+
+
 def test_kmeans_k_equals_n_zero_inertia():
     rng = np.random.default_rng(0)
     points = rng.normal(0, 1, (8, 3))

@@ -1,5 +1,6 @@
 import io
 import os
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -8,6 +9,76 @@ from conftest import random_graph
 from mobgraph.errors import DirectedGraphUnsupported, MalformedGexf
 from mobgraph.gexf import read_gexf, write_gexf
 from mobgraph.graph import Graph
+
+
+def reference_write_gexf(graph: Graph, sink) -> None:
+    """The ElementTree writer that write_gexf replaced, kept as the oracle
+    for its bytes."""
+    root = ET.Element("gexf", {"xmlns": "http://www.gexf.net/1.2draft", "version": "1.2"})
+    meta = ET.SubElement(root, "meta")
+    ET.SubElement(meta, "description").text = graph.name
+    graph_el = ET.SubElement(
+        root, "graph", {"defaultedgetype": "undirected", "mode": "static"}
+    )
+    nodes_el = ET.SubElement(graph_el, "nodes")
+    for nid in graph.nodes():
+        ET.SubElement(nodes_el, "node", {"id": nid, "label": nid})
+    edges_el = ET.SubElement(graph_el, "edges")
+    for idx, (u, v, w) in enumerate(graph.edges()):
+        weight = str(int(w)) if w == int(w) else repr(w)
+        ET.SubElement(
+            edges_el,
+            "edge",
+            {"id": str(idx), "source": u, "target": v, "weight": weight},
+        )
+    ET.indent(ET.ElementTree(root))
+    payload = ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+    if isinstance(sink, (str, os.PathLike)):
+        with open(sink, "wb") as f:
+            f.write(payload)
+    else:
+        sink.write(payload)
+
+
+HOSTILE_CHARS = ['"', "&", "<", ">", "'", "\t", "\r", "\n", " ", "é", "漢", "😀", "a", "b", "7"]
+
+
+def hostile_string(rng: np.random.Generator) -> str:
+    """Empty, whitespace-only, or a random mix of XML-special, whitespace
+    and non-ASCII characters."""
+    kind = rng.integers(0, 8)
+    if kind == 0:
+        return ""
+    if kind == 1:
+        return "".join(rng.choice([" ", "\t", "\n", "\r"], size=int(rng.integers(1, 4))))
+    return "".join(rng.choice(HOSTILE_CHARS, size=int(rng.integers(1, 7))))
+
+
+def hostile_graph(rng: np.random.Generator) -> Graph:
+    graph = Graph(hostile_string(rng))
+    ids = sorted({hostile_string(rng) for _ in range(int(rng.integers(0, 9)))})
+    for nid in ids:
+        graph.add_node(nid)
+    for i, u in enumerate(ids):
+        for v in ids[i + 1:]:
+            if rng.random() < 0.4:
+                graph.add_edge(u, v, float(rng.choice([1.0, 3.0, 2.5, 0.1, 1e-7])))
+    return graph
+
+
+def test_bytes_match_elementtree_writer_on_hostile_graphs(tmp_path):
+    rng = np.random.default_rng(2024)
+    path, ref_path = tmp_path / "g.gexf", tmp_path / "ref.gexf"
+    for trial in range(500):
+        graph = hostile_graph(rng)
+        expected = io.BytesIO()
+        reference_write_gexf(graph, expected)
+        got = io.BytesIO()
+        write_gexf(graph, got)
+        assert got.getvalue() == expected.getvalue(), f"trial {trial}: {graph!r}"
+        write_gexf(graph, path)
+        reference_write_gexf(graph, ref_path)
+        assert path.read_bytes() == ref_path.read_bytes(), f"trial {trial}: {graph!r}"
 
 
 def round_trip(graph: Graph) -> Graph:

@@ -9,6 +9,7 @@ from mobgraph.errors import (
     EmptyChannel,
     MalformedRow,
     MissingColumn,
+    MobgraphError,
 )
 from mobgraph.ingest import (
     CommentRecord,
@@ -135,6 +136,41 @@ def test_unsafe_channel_id_rejected(format, channel):
     with pytest.raises(MalformedRow) as err:
         parse_comments(comment_table(rows, format), format=format)
     assert err.value.line == (3 if format == "csv" else 2)  # CSV counts its header
+
+
+# A lone surrogate cannot be encoded as UTF-8, so only JSON-lines (as \ud800)
+# can carry one.
+@pytest.mark.parametrize("format,bad", [
+    *((f, bad) for f in ("csv", "json-lines")
+      for bad in ("a\x0bb", "\x01", "a\tb", "x\x1f", "a\ufffeb", "\uffff")),
+    ("json-lines", "\ud800"),
+    ("json-lines", "a\udfffb"),
+])
+@pytest.mark.parametrize("column", ["channel_id", "commenter_id"])
+def test_id_gexf_cannot_carry_rejected(format, bad, column):
+    row = {"channel_id": "c1", "video_id": "v1", "commenter_id": "u2", "comment_id": "m2"}
+    row[column] = bad
+    rows = [("c1", "v1", "u1", "m1"), tuple(row.values())]
+    with pytest.raises(MalformedRow, match=column) as err:
+        parse_comments(comment_table(rows, format), format=format)
+    assert err.value.line == (3 if format == "csv" else 2)  # CSV counts its header
+
+
+def test_ids_with_spaces_and_non_ascii_accepted():
+    rows = [("chaîne 1", "v1", "ü ser", "m1"), ("chaîne 1", "v1", "\u732b", "m2")]
+    for format in ("csv", "json-lines"):
+        assert parse_comments(comment_table(rows, format), format=format) == [
+            rec(*row) for row in rows
+        ], format
+
+
+def test_input_not_utf8_names_it(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(comment_table([("c1", "v1", "u1", "m1")], "csv") + b"c1,v1,\xff,m2\n")
+    with pytest.raises(MobgraphError, match=r"latin1\.csv is not UTF-8"):
+        parse_comments(path)
+    with pytest.raises(MobgraphError, match="not UTF-8"):
+        parse_comments(path.read_bytes())
 
 
 def test_trailing_blank_line_skipped_in_both_formats():
