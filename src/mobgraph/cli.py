@@ -31,6 +31,13 @@ from .pipeline import (
 )
 
 THREADS_ENV = "MOBGRAPH_THREADS"
+# What `report` prints of a report.json, checked before anything is printed.
+REPORT_KEYS = (
+    *(f"clustering.kmeans.{k}" for k in ("selected_k", "silhouette", "davies_bouldin")),
+    *(f"clustering.hierarchical.{k}" for k in
+      ("selected_k", "silhouette", "davies_bouldin", "cophenetic_correlation")),
+    "channels", "cliques.min_size", "ranking.overall",
+)
 _FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 # Stage subcommand -> the pipeline steps it runs, in order. Its flags are
@@ -220,7 +227,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_cliques(args: argparse.Namespace) -> int:
     state = _state(args)
     if args.report:
-        state.clustering = read_json(args.report, "clustering")["clustering"]
+        state.clustering = read_json(args.report, "clustering.kmeans.labels")["clustering"]
     for step in STEPS["cliques"]:
         step(state)
     for census in sorted(state.censuses, key=lambda c: (-c.count, c.channel_id)):
@@ -261,7 +268,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    report = read_json(args.input, "channels", "clustering", "cliques", "ranking")
+    report = read_json(args.input, *REPORT_KEYS)
     km = report["clustering"]["kmeans"]
     hier = report["clustering"]["hierarchical"]
     print(f"channels ({len(report['channels'])}): {', '.join(report['channels'])}")

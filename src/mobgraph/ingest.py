@@ -97,7 +97,16 @@ def _make_record(line: int, fields: dict[str, str | None]) -> CommentRecord:
 
 
 def _iter_csv(stream: IO[str]) -> Iterable[tuple[int, dict[str, str | None]]]:
+    """The CSV rows as fields, with an error of the reader itself (a NUL byte
+    before Python 3.11, a field over csv.field_size_limit()) as MalformedRow."""
     reader = csv.reader(stream)
+    try:
+        yield from _csv_fields(reader)
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from None
+
+
+def _csv_fields(reader) -> Iterable[tuple[int, dict[str, str | None]]]:
     try:
         header = next(reader)
     except StopIteration:

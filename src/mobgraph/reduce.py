@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NoConvergence, NonFiniteCoordinate, TooFewPoints
 from .seeding import buffered_draws, rng_for
@@ -25,6 +23,9 @@ logger = logging.getLogger(__name__)
 SMOOTH_TOLERANCE = 1e-5
 MIN_SIGMA_SCALE = 1e-3
 GRAD_CLIP = 4.0
+# The fit for the default min_dist=0.1, spread=1.0, bit for bit as _fit_curve
+# returns it (tests/test_reduce.py checks), so a default run imports no scipy.
+DEFAULT_CURVE = (1.5769434602697652, 0.8950608778515733)
 
 
 @dataclass
@@ -132,9 +133,18 @@ def _psi(x: np.ndarray, min_dist: float, spread: float) -> np.ndarray:
 
 def fit_curve_params(min_dist: float = 0.1, spread: float = 1.0) -> tuple[float, float]:
     """Least-squares fit of 1/(1 + a x^(2b)) to the target falloff curve
-    on 300 samples over [0, 3*spread]."""
+    on 300 samples over [0, 3*spread]; the default settings return their
+    pinned fit."""
     if not 0 < min_dist <= spread:
         raise ValueError(f"need 0 < min_dist <= spread, got {min_dist}, {spread}")
+    if (min_dist, spread) == (0.1, 1.0):
+        return DEFAULT_CURVE
+    return _fit_curve(min_dist, spread)
+
+
+def _fit_curve(min_dist: float, spread: float) -> tuple[float, float]:
+    from scipy.optimize import curve_fit  # here, not at the top: slow to import
+
     xv = np.linspace(0.0, 3.0 * spread, 300)
     yv = _psi(xv, min_dist, spread)
 
@@ -155,9 +165,22 @@ def _layout_init_mode(strengths: np.ndarray, n_components: int) -> str:
     """Spectral when the fuzzy graph is connected and n >= 4*n_components,
     random otherwise."""
     n = strengths.shape[0]
-    if n < 4 * n_components or connected_components(strengths, return_labels=False) > 1:
+    if n < 4 * n_components or not _is_connected(strengths):
         return "random"
     return "spectral"
+
+
+def _is_connected(strengths: np.ndarray) -> bool:
+    """Whether every node is reachable from node 0 over nonzero strengths,
+    by breadth-first sweeps of the dense (symmetric) matrix."""
+    linked = strengths != 0
+    seen = np.zeros(strengths.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = linked[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def _random_init(n: int, n_components: int, seed: int) -> np.ndarray:

@@ -65,7 +65,8 @@ def open_text(target: Source, mode: str = "r") -> Iterator[IO[str]]:
 
 def read_json(path: str | Path, *keys: str) -> dict:
     """The JSON object in path, which must hold each of keys; anything else
-    is a MobgraphError naming the file."""
+    is a MobgraphError naming the file. A dotted key such as
+    "clustering.kmeans" asks for nested objects."""
     with open_text(path) as stream:
         try:
             data = json.load(stream)
@@ -73,9 +74,14 @@ def read_json(path: str | Path, *keys: str) -> dict:
             raise MobgraphError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise MobgraphError(f"{path}: expected a JSON object")
-    for key in keys:
-        if key not in data:
-            raise MobgraphError(f"{path}: no {key!r} key")
+    for dotted in keys:
+        node, parents = data, []
+        for key in dotted.split("."):
+            if not isinstance(node, dict) or key not in node:
+                inside = f" in {'.'.join(parents)!r}" if parents else ""
+                raise MobgraphError(f"{path}: no {key!r} key{inside}")
+            node = node[key]
+            parents.append(key)
     return data
 
 

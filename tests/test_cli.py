@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mobgraph
 from mobgraph.cli import STEPS, _config, build_parser, main
 from mobgraph.errors import InvalidConfig, PipelineStageError
 from mobgraph.pipeline import (
@@ -101,6 +106,25 @@ def test_pipeline_threads_do_not_change_artifacts(corpus_dir, pipeline_out, tmp_
     assert code == 0
     for name in ("embeddings.csv", "reduced.csv", "cliques.csv", "dendrogram.json"):
         assert read_bytes(out / name) == read_bytes(pipeline_out / name), name
+
+
+def test_default_run_loads_no_scipy(corpus_dir, tmp_path):
+    # A fresh interpreter: this one has loaded scipy for other tests.
+    script = (
+        "import sys\n"
+        "import mobgraph.cli\n"
+        "from mobgraph.pipeline import PipelineConfig, run_pipeline\n"
+        "run_pipeline(PipelineConfig(input=sys.argv[1], out=sys.argv[2]))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(mobgraph.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(corpus_dir / "comments.csv"), str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_pipeline_missing_input(tmp_path, capsys):
@@ -467,6 +491,10 @@ def test_ingest_input_not_utf8_fails_cleanly(tmp_path, capsys):
 BAD_JSON = {
     "malformed": (b"{not json", "Expecting property name"),
     "no clustering": (b'{"channels": [], "cliques": {}, "ranking": {}}', "'clustering'"),
+    "no kmeans": (b'{"channels": [], "clustering": {}, "cliques": {}, "ranking": {}}',
+                  "no 'kmeans' key in 'clustering'"),
+    "clustering not an object": (b'{"clustering": [1], "channels": []}',
+                                 "no 'kmeans' key in 'clustering'"),
     "not an object": (b"[1, 2]", "expected a JSON object"),
     "not utf-8": (b'{"clustering": "\xff"}', "not UTF-8"),
 }
@@ -484,6 +512,7 @@ def test_report_and_cliques_reject_bad_json(corpus_dir, tmp_path, capsys, case):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}"), argv[0]
         assert detail in err, argv[0]
+        assert "Traceback" not in err, argv[0]
 
 
 @pytest.mark.parametrize("flag,value", [

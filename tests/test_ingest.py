@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -65,6 +66,16 @@ def test_csv_wrong_field_count():
     with pytest.raises(MalformedRow) as err:
         parse_comments(data)
     assert "got 7" in str(err.value)
+
+
+def test_csv_reader_error_names_its_line():
+    # The csv module's own error: here a field over the size limit, and on
+    # Python 3.10 also a NUL byte.
+    big = "x" * (csv.field_size_limit() + 1)
+    data = csv_bytes(["c1,v1,u1,m1,,", f"c1,v1,u2,m2,,{big}", "c1,v1,u3,m3,,"])
+    with pytest.raises(MalformedRow, match="field larger than field limit") as err:
+        parse_comments(data)
+    assert err.value.line == 3
 
 
 def test_csv_optional_columns_may_be_absent():

@@ -222,6 +222,59 @@ def test_curve_fit_rejects_bad_arguments(min_dist, spread):
         fit_curve_params(min_dist, spread)
 
 
+def test_pinned_default_curve_is_scipys_fit_bit_for_bit():
+    from scipy.optimize import curve_fit
+
+    xv = np.linspace(0.0, 3.0, 300)
+    params, _ = curve_fit(lambda x, a, b: 1.0 / (1.0 + a * x ** (2.0 * b)),
+                          xv, reduce_mod._psi(xv, 0.1, 1.0), p0=(1.0, 1.0))
+    pinned = [x.hex() for x in fit_curve_params(0.1, 1.0)]
+    assert pinned == ["0x1.93b2910d7fed7p+0", "0x1.ca456b5c9a65dp-1"]
+    assert pinned == [float(x).hex() for x in params]
+    assert pinned == [x.hex() for x in reduce_mod._fit_curve(0.1, 1.0)]
+
+
+def test_curve_fit_non_default_settings_still_fit():
+    a, b = fit_curve_params(0.2, 1.0)
+    assert (a, b) != fit_curve_params(0.1, 1.0)
+    x = np.linspace(0.0, 3.0, 300)
+    target = np.where(x < 0.2, 1.0, np.exp(-(x - 0.2)))
+    fitted = 1.0 / (1.0 + a * x ** (2.0 * b))
+    assert np.max(np.abs(fitted - target)) < 0.05
+
+
+# --- connectivity ------------------------------------------------------------------
+
+def _random_symmetric(rng, n, density):
+    upper = np.triu(rng.random((n, n)) * (rng.random((n, n)) < density), k=1)
+    return upper + upper.T
+
+
+def _connectivity_cases():
+    rng = np.random.default_rng(31)
+    cases = [_random_symmetric(rng, n, density)
+             for n in (2, 3, 5, 8, 13, 21, 34) for density in (0.05, 0.15, 0.3, 0.6)
+             for _ in range(4)]
+    blocks = np.zeros((10, 10))
+    blocks[:6, :6] = _random_symmetric(rng, 6, 1.0)
+    blocks[6:, 6:] = _random_symmetric(rng, 4, 1.0)
+    isolated = _random_symmetric(rng, 9, 1.0)
+    isolated[4, :] = isolated[:, 4] = 0.0
+    return cases + [blocks, isolated, np.zeros((1, 1)), np.zeros((7, 7)),
+                    _random_symmetric(rng, 12, 1.0)]
+
+
+def test_connectivity_sweep_matches_scipy_components():
+    from scipy.sparse.csgraph import connected_components
+
+    seen = set()
+    for strengths in _connectivity_cases():
+        expected = connected_components(strengths, return_labels=False) == 1
+        assert reduce_mod._is_connected(strengths) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
 # --- layout ------------------------------------------------------------------------
 
 def test_layout_shape_and_finiteness():
