@@ -4,6 +4,7 @@ ranking built from them. Edge weights play no role here; only connectivity."""
 from __future__ import annotations
 
 import csv
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -33,16 +34,26 @@ class SuspiciousnessRanking:
 
 
 def _degeneracy_order(graph: Graph) -> list[str]:
-    """Repeatedly remove a minimum-degree node (ties toward the smaller id)."""
-    degrees = {u: graph.degree(u) for u in graph.nodes()}
-    remaining: dict[str, set[str]] = {u: set(graph.neighbors(u)) for u in degrees}
+    """Repeatedly remove a minimum-degree node (ties toward the smaller id).
+
+    A heap of (remaining degree, id) with lazy deletion (Matula & Beck 1983):
+    a removal pushes each neighbour's lowered key, and an entry whose degree
+    is no longer its node's current one is skipped when popped.
+    """
+    degree = {u: graph.degree(u) for u in graph.nodes()}
+    heap = [(d, u) for u, d in degree.items()]
+    heapq.heapify(heap)
     order: list[str] = []
-    while remaining:
-        u = min(remaining, key=lambda x: (len(remaining[x]), x))
+    while heap:
+        d, u = heapq.heappop(heap)
+        if degree.get(u) != d:
+            continue  # stale: u is already removed, or its degree has dropped
         order.append(u)
-        for v in remaining[u]:
-            remaining[v].discard(u)
-        del remaining[u]
+        del degree[u]
+        for v in graph.neighbors(u):
+            if v in degree:
+                degree[v] -= 1
+                heapq.heappush(heap, (degree[v], v))
     return order
 
 

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class MobgraphError(Exception):
     """Base class for all pipeline errors."""
+
+    def __reduce__(self):
+        # Rebuild from args and attributes without calling the subclass
+        # __init__, whose parameters differ from args: an error raised in a
+        # worker process crosses back by pickle with its type and text intact.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # --- ingest -----------------------------------------------------------------

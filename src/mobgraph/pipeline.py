@@ -13,10 +13,9 @@ timings.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import logging
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -217,14 +216,57 @@ class _WarningCollector(logging.Handler):
         self.messages.append(record.getMessage())
 
 
+# A worker's task. Each forked worker sets it at start from the function its
+# pool was made for, inherited with the RunState it closes over, so nothing
+# but channel ids is pickled on the way in.
+_task: Callable[[str | None], object] | None = None
+
+
+def _start_worker(fn: Callable[[str | None], object]) -> None:
+    global _task
+    _task = fn
+
+
+def _run_task(channel: str | None) -> object:
+    return _task(channel)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_channels(
-    channels: list[str], fn: Callable[[str], object], threads: int
-) -> dict[str, object]:
-    if threads <= 1 or len(channels) <= 1:
-        return {c: fn(c) for c in channels}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(fn, channels)
-    return dict(zip(channels, results))
+    channels: list[str | None], fn: Callable[[str | None], object], threads: int
+) -> dict[str | None, object]:
+    """fn(channel) for every channel, in channel order. With threads > 1 the
+    calls run in up to that many forked worker processes (no more than
+    channels or usable CPUs); without fork they run serially in this one.
+    The first failure cancels the calls not yet started, and the error
+    raised is that of the first failing channel in order, as serially."""
+    workers = min(threads, len(channels), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import FIRST_EXCEPTION, wait
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            # fork, not spawn: a spawned worker would need the graphs pickled
+            # to it. In a pipeline run the only other threads at fork time are
+            # numpy's idle BLAS pool, and the per-channel stages call no BLAS.
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker, initargs=(fn,),
+            )
+            try:
+                futures = [pool.submit(_run_task, c) for c in channels]
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return {c: future.result() for c, future in zip(channels, futures)}
+    return {c: fn(c) for c in channels}
 
 
 def strip_timings(report: dict) -> dict:
@@ -303,14 +345,21 @@ def check_corpus_size(state: RunState) -> None:
 
 
 def build_graphs(state: RunState) -> None:
+    """One graph per channel, built serially here: forked workers of the
+    later stages inherit the graphs rather than pickling them back."""
     config = state.config
-    build = functools.partial(
-        ingest_mod.build_co_commenter_graph,
-        state.records,
-        min_shared_videos=config.min_shared_videos,
-        include_isolated=config.include_isolated,
-    )
-    state.graphs = _map_channels(state.channels, build, config.threads)
+    # One pass, input order kept; channel None is the whole corpus.
+    by_channel: dict[str | None, list[ingest_mod.CommentRecord]] = {None: state.records}
+    for record in state.records:
+        by_channel.setdefault(record.channel_id, []).append(record)
+    state.graphs = {
+        c: ingest_mod.build_co_commenter_graph(
+            by_channel.get(c, []), c,
+            min_shared_videos=config.min_shared_videos,
+            include_isolated=config.include_isolated,
+        )
+        for c in state.channels
+    }
 
 
 def _over_graphs(state: RunState, fn: Callable, **kwargs) -> list:
@@ -439,7 +488,7 @@ def write_report(state: RunState) -> None:
 STAGES: tuple[tuple[str, Callable[[RunState], None], tuple[str, ...]], ...] = (
     ("ingest", read_comments, ("format",)),
     ("ingest", check_corpus_size, ("umap_neighbors", "k_min", "k_max")),
-    ("graphs", build_graphs, ("threads", "min_shared_videos", "include_isolated")),
+    ("graphs", build_graphs, ("min_shared_videos", "include_isolated")),
     ("wl", extract_documents, ("threads", "wl_iterations", "wl_weight_buckets")),
     ("embed", embed_documents, ("seed", "dim", "lr", "min_count", "epochs", "negative")),
     # After embed, whose vocabulary can still come out empty: a run that

@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 
 import mobgraph
+from mobgraph import pipeline as pipeline_mod
 from mobgraph.cli import STEPS, _config, build_parser, main
 from mobgraph.errors import InvalidConfig, PipelineStageError
 from mobgraph.pipeline import (
     CONFIG_FIELDS,
     PipelineConfig,
+    _map_channels,
     fields_read,
     load_config_file,
     resolve_config,
@@ -97,34 +99,113 @@ def test_pipeline_rerun_is_byte_identical(corpus_dir, tmp_path):
     assert second_report == first_report
 
 
-def test_pipeline_threads_do_not_change_artifacts(corpus_dir, pipeline_out, tmp_path):
-    out = tmp_path / "threaded"
-    code = main([
-        "pipeline", "--input", str(corpus_dir / "comments.csv"),
-        "--out", str(out), "--seed", "0", "--threads", "3",
-    ])
-    assert code == 0
-    for name in ("embeddings.csv", "reduced.csv", "cliques.csv", "dendrogram.json"):
-        assert read_bytes(out / name) == read_bytes(pipeline_out / name), name
+def test_pipeline_threads_do_not_change_artifacts(corpus_dir, pipeline_out, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 3)  # 3 workers on any host
+    gexf = sorted(p.name for p in (pipeline_out / "graphs").glob("*.gexf"))
+    tracked = ["embeddings.csv", "reduced.csv", "cliques.csv", "dendrogram.json",
+               *(f"graphs/{name}" for name in gexf)]
+
+    def compared(report):
+        report = strip_timings(report)
+        report["config"] = {k: v for k, v in report["config"].items()
+                            if k not in ("threads", "out")}
+        return report
+
+    expected = compared(json.loads((pipeline_out / "report.json").read_text()))
+    for threads in (1, 2, 3):
+        out = tmp_path / f"threads{threads}"
+        code = main([
+            "pipeline", "--input", str(corpus_dir / "comments.csv"),
+            "--out", str(out), "--seed", "0", "--threads", str(threads),
+        ])
+        assert code == 0
+        assert sorted(p.name for p in (out / "graphs").glob("*.gexf")) == gexf
+        for name in tracked:
+            assert read_bytes(out / name) == read_bytes(pipeline_out / name), (threads, name)
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["threads"] == threads
+        assert compared(report) == expected, threads
 
 
-def test_default_run_loads_no_scipy(corpus_dir, tmp_path):
-    # A fresh interpreter: this one has loaded scipy for other tests.
+@pytest.fixture(scope="module")
+def default_run_modules(corpus_dir, tmp_path_factory):
+    """The modules a fresh interpreter has loaded after `import mobgraph.cli`
+    and a run_pipeline call with the default settings (threads=1)."""
     script = (
         "import sys\n"
         "import mobgraph.cli\n"
         "from mobgraph.pipeline import PipelineConfig, run_pipeline\n"
         "run_pipeline(PipelineConfig(input=sys.argv[1], out=sys.argv[2]))\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(' '.join(sorted(sys.modules)))\n"
     )
     src = str(Path(mobgraph.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path_factory.mktemp("fresh") / "run"
     done = subprocess.run(
-        [sys.executable, "-c", script, str(corpus_dir / "comments.csv"), str(tmp_path / "run")],
+        [sys.executable, "-c", script, str(corpus_dir / "comments.csv"), str(out)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_default_run_loads_no_scipy(default_run_modules):
+    assert [m for m in default_run_modules if m.startswith("scipy")] == []
+
+
+def test_serial_run_loads_no_process_pool(default_run_modules):
+    assert "mobgraph.pipeline" in default_run_modules
+    assert "multiprocessing" not in default_run_modules
+    assert "concurrent.futures.process" not in default_run_modules
+
+
+def test_budget_failure_is_the_same_with_worker_processes(corpus_dir, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
+    seen = {}
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        code = main(["pipeline", "--input", str(corpus_dir / "comments.csv"),
+                     "--out", str(out), "--clique-budget", "10",
+                     "--threads", str(threads)])
+        assert code == 1
+        seen[threads] = (capsys.readouterr().err, (out / "INCOMPLETE").read_text())
+    err, marker = seen[1]
+    assert err.startswith("error: stage 'cliques' failed: maximal clique count "
+                          "exceeded budget 10 on channel 'ch01'")
+    assert marker.startswith("failed at stage: cliques\n")
+    assert seen[2] == seen[1]
+
+
+def test_map_channels_raises_the_first_failing_channel_in_order(monkeypatch):
+    monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
+
+    def task(channel):
+        if channel in ("b", "d"):
+            raise InvalidConfig(f"bad {channel}")
+        return channel.upper()
+
+    assert _map_channels(list("abc"), str.upper, 2) == {"a": "A", "b": "B", "c": "C"}
+    for threads in (1, 2):
+        with pytest.raises(InvalidConfig, match="bad b"):
+            _map_channels(list("abcde"), task, threads)
+
+
+@pytest.mark.parametrize("cpus, forked", [(1, False), (2, True)])
+def test_map_channels_workers_capped_by_cpus(monkeypatch, cpus, forked):
+    monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: cpus)
+    pids = _map_channels(["a", "b", "c"], lambda c: os.getpid(), 4)
+    assert list(pids) == ["a", "b", "c"]
+    assert (os.getpid() not in pids.values()) == forked
+
+
+def test_map_channels_runs_serially_without_fork(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    pids = _map_channels(["a", "b", "c"], lambda c: os.getpid(), 2)
+    assert set(pids.values()) == {os.getpid()}
 
 
 def test_pipeline_missing_input(tmp_path, capsys):

@@ -42,6 +42,20 @@ def exhaustive_maximal_cliques(graph):
     return found
 
 
+def reference_degeneracy_order(graph):
+    """The O(n^2) order the heap replaced: min() over every remaining node
+    per step, ties toward the smaller id."""
+    remaining = {u: set(graph.neighbors(u)) for u in graph.nodes()}
+    order = []
+    while remaining:
+        u = min(remaining, key=lambda x: (len(remaining[x]), x))
+        order.append(u)
+        for v in remaining[u]:
+            remaining[v].discard(u)
+        del remaining[u]
+    return order
+
+
 def reference_maximal_cliques(graph):
     """The set-based Bron-Kerbosch the bitset census replaced: degeneracy
     order, pivot covering the most of P (ties toward the smaller id). Slow,
@@ -58,7 +72,7 @@ def reference_maximal_cliques(graph):
             p.remove(v)
             x.add(v)
 
-    order = _degeneracy_order(graph)
+    order = reference_degeneracy_order(graph)
     rank = {u: i for i, u in enumerate(order)}
     for v in order:
         later = {u for u in adj[v] if rank[u] > rank[v]}
@@ -94,6 +108,23 @@ def complete_graph(n):
 
 
 # --- enumeration -------------------------------------------------------------------
+
+def test_degeneracy_order_matches_reference():
+    rng = np.random.default_rng(11)
+    assert _degeneracy_order(Graph("empty")) == []
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        graph = random_graph(rng, n, float(rng.choice([0.05, 0.2, 0.5, 0.9])))
+        for i in range(int(rng.integers(0, 4))):
+            graph.add_node(f"z{i}")  # isolated nodes, after every n-node
+        assert _degeneracy_order(graph) == reference_degeneracy_order(graph), trial
+    # Regular graphs: every step is a degree tie, broken by id.
+    assert _degeneracy_order(complete_graph(7)) == sorted(complete_graph(7).nodes())
+    cycle = Graph("cycle")
+    for i in range(9):
+        cycle.add_edge(f"c{i}", f"c{(i + 1) % 9}")
+    assert _degeneracy_order(cycle) == reference_degeneracy_order(cycle)
+
 
 def test_complete_graph_single_clique():
     cliques = list(maximal_cliques(complete_graph(5)))
