@@ -19,10 +19,11 @@ from . import pipeline
 from . import reduce as reduce_mod
 from . import synth as synth_mod
 from .errors import MobgraphError
-from .textio import read_json, write_json
+from .textio import has_type, read_json, write_json
 from .pipeline import (
     CHOICES,
     CONFIG_FIELDS,
+    FIELD_TYPES,
     PipelineConfig,
     RunState,
     load_config_file,
@@ -38,7 +39,6 @@ REPORT_KEYS = (
       ("selected_k", "silhouette", "davies_bouldin", "cophenetic_correlation")),
     "channels", "cliques.min_size", "ranking.overall",
 )
-_FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 # Stage subcommand -> the pipeline steps it runs, in order. Its flags are
 # the config fields those steps read.
@@ -55,17 +55,17 @@ STEPS = {
 
 def add_config_flags(parser: argparse.ArgumentParser, names) -> None:
     """--config, and one --kebab-case flag per named PipelineConfig field,
-    typed from the field's annotation text. Every default is None, so an
-    unset flag leaves the config file or the field default in force."""
+    typed as in FIELD_TYPES. Every default is None, so an unset flag leaves
+    the config file or the field default in force."""
     parser.add_argument("--config", default=None, help="JSON config file")
     for name in names:
         spec = CONFIG_FIELDS[name]
         flag = "--" + name.replace("_", "-")
-        if spec.type == "bool":
+        if FIELD_TYPES[name] is bool:
             parser.add_argument(flag, action=argparse.BooleanOptionalAction,
                                 default=None, help=f"default: {spec.default}")
         else:
-            parser.add_argument(flag, type=_FLAG_TYPES[spec.type.split(" | ")[0]],
+            parser.add_argument(flag, type=FIELD_TYPES[name],
                                 choices=CHOICES.get(name), default=None,
                                 help=f"default: {spec.default}")
 
@@ -227,7 +227,12 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_cliques(args: argparse.Namespace) -> int:
     state = _state(args)
     if args.report:
-        state.clustering = read_json(args.report, "clustering.kmeans.labels")["clustering"]
+        clustering = read_json(args.report, "clustering.kmeans.labels")["clustering"]
+        labels = clustering["kmeans"]["labels"]
+        if not isinstance(labels, dict) or not all(has_type(v, int) for v in labels.values()):
+            raise MobgraphError(f"{args.report}: 'clustering.kmeans.labels' must be an "
+                                "object of integers")
+        state.clustering = clustering
     for step in STEPS["cliques"]:
         step(state)
     for census in sorted(state.censuses, key=lambda c: (-c.count, c.channel_id)):
@@ -271,6 +276,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     report = read_json(args.input, *REPORT_KEYS)
     km = report["clustering"]["kmeans"]
     hier = report["clustering"]["hierarchical"]
+    for name, scores in (("kmeans", km), ("hierarchical", hier)):
+        if not has_type(scores["silhouette"], float):
+            raise MobgraphError(f"{args.input}: 'clustering.{name}.silhouette' must be a number")
     print(f"channels ({len(report['channels'])}): {', '.join(report['channels'])}")
     print(f"k-means: k={km['selected_k']}, silhouette {km['silhouette']:.4f}, "
           f"Davies-Bouldin {km['davies_bouldin']}")

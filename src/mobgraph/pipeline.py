@@ -1,13 +1,12 @@
 """End-to-end orchestration: comments in, ranked channels and artifacts out.
 
 Stage order: ingest -> graphs -> wl -> embed -> reduce -> cluster -> cliques
--> rank -> report; the graphs stage writes its GEXF files after embed. Each
-step is one function over a RunState; `STAGES` lists them in order with the
-config fields they read, and both run_pipeline and the CLI subcommands call
-these same functions. The first failing stage aborts the run, names itself
-in the raised error, and leaves an INCOMPLETE marker in the output
-directory. Given one seed, two runs produce byte-identical artifacts except
-timings.
+-> rank -> report. Each step is one function over a RunState; `STAGES`
+lists them in order with the config fields they read, and both run_pipeline
+and the CLI subcommands call these same functions. The first failing stage
+aborts the run, names itself in the raised error, and leaves an INCOMPLETE
+marker in the output directory in place of every artifact. Given one seed,
+two runs produce byte-identical artifacts except timings.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .errors import (
     TooFewPoints,
 )
 from .graph import Graph
-from .textio import read_json, write_json
+from .textio import has_type, read_json, temp_files, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -83,11 +82,14 @@ class PipelineConfig:
     k_max: int | None = None  # None: min(10, n_channels - 1)
     cluster_space: str = "reduced"  # or "embeddings", for ablation
     clique_min_size: int = 5
-    clique_budget: int = 10_000_000
+    clique_budget: int = cliques_mod.DEFAULT_CLIQUE_BUDGET
     n_init: int = 10
 
 
 CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+# The type of each field's values, from its annotation; None means "not set".
+_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
+FIELD_TYPES = {name: _TYPES[f.type.split(" | ")[0]] for name, f in CONFIG_FIELDS.items()}
 CHOICES = {"format": ("csv", "json-lines"), "cluster_space": ("reduced", "embeddings")}
 # The least value of each integer setting that its stage can run with.
 LOWER_BOUNDS = {
@@ -102,9 +104,6 @@ def load_config_file(path: str | Path) -> dict:
         data = read_json(path)
     except MobgraphError as exc:
         raise InvalidConfig(f"config file {exc}") from None
-    for key in data:
-        if key not in CONFIG_FIELDS:
-            raise InvalidConfig(f"unknown config key {key!r}")
     return data
 
 
@@ -115,6 +114,8 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
         for key, value in source.items():
             if key not in CONFIG_FIELDS:
                 raise InvalidConfig(f"unknown config key {key!r}")
+            if value is not None and not has_type(value, FIELD_TYPES[key]):
+                raise InvalidConfig(f"{key} must be {FIELD_TYPES[key].__name__}, got {value!r}")
             if value is not None:
                 merged[key] = value
     config = PipelineConfig(**merged)
@@ -489,11 +490,9 @@ STAGES: tuple[tuple[str, Callable[[RunState], None], tuple[str, ...]], ...] = (
     ("ingest", read_comments, ("format",)),
     ("ingest", check_corpus_size, ("umap_neighbors", "k_min", "k_max")),
     ("graphs", build_graphs, ("min_shared_videos", "include_isolated")),
+    ("graphs", write_graphs, ("threads",)),
     ("wl", extract_documents, ("threads", "wl_iterations", "wl_weight_buckets")),
     ("embed", embed_documents, ("seed", "dim", "lr", "min_count", "epochs", "negative")),
-    # After embed, whose vocabulary can still come out empty: a run that
-    # fails there has written no graph.
-    ("graphs", write_graphs, ("threads",)),
     ("reduce", reduce_points, (
         "seed", "umap_neighbors", "umap_min_dist", "umap_components",
         "umap_spread", "umap_epochs", "umap_negative_rate",
@@ -512,13 +511,13 @@ def fields_read(steps) -> list[str]:
 
 
 def _remove_artifacts(out_dir: Path) -> None:
-    """Delete what an earlier run_pipeline left in out_dir, so a failed or
-    smaller rerun cannot leave stale files beside its own. Other files in
-    out_dir are kept."""
-    for name in (INCOMPLETE_MARKER, REPORT, *ARTIFACTS.values()):
-        (out_dir / name).unlink(missing_ok=True)
-    for path in (out_dir / GRAPHS_DIR).glob("*.gexf"):
-        path.unlink()
+    """Delete what run_pipeline writes in out_dir, temp files of a write cut
+    short included. Other files in out_dir are kept."""
+    names = (INCOMPLETE_MARKER, REPORT, *ARTIFACTS.values())
+    graphs = out_dir / GRAPHS_DIR
+    for path in (*(out_dir / name for name in names), *graphs.glob("*.gexf"),
+                 *temp_files(out_dir, *names), *temp_files(graphs, "*.gexf")):
+        path.unlink(missing_ok=True)
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -542,6 +541,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             state.timings[stage] = state.timings.get(stage, 0.0) + elapsed
         return state.report
     except Exception as exc:  # noqa: BLE001 - stage context is the contract
+        _remove_artifacts(out_dir)
         marker.write_text(f"failed at stage: {stage}\n{exc}\n", encoding="utf-8")
         raise PipelineStageError(stage, exc) from exc
     finally:

@@ -65,18 +65,17 @@ def knn_exact(points: np.ndarray, k: int = 5) -> NeighborGraph:
     return NeighborGraph(indices=indices, dists=dists)
 
 
-def smooth_knn(neighbors: NeighborGraph, k: int | None = None) -> NeighborGraph:
+def smooth_knn(neighbors: NeighborGraph) -> NeighborGraph:
     """Fill rho (nearest distance) and sigma per point.
 
-    sigma solves sum_j exp(-max(0, d_ij - rho_i) / sigma) = log2(k) by a
-    64-step binary search, then is clamped from below by 1e-3 times the
-    point's mean neighbor distance (global mean when rho is 0).
+    sigma solves sum_j exp(-max(0, d_ij - rho_i) / sigma) = log2(k), k the
+    neighbors per point, by a 64-step binary search, then is clamped from
+    below by 1e-3 times the point's mean neighbor distance (global mean when
+    rho is 0).
     """
-    if k is None:
-        k = neighbors.k
     dists = neighbors.dists
     n = dists.shape[0]
-    target = math.log2(k)
+    target = math.log2(neighbors.k)
     global_mean = float(dists.mean()) if dists.size else 0.0
     rho = dists[:, 0].copy()
     sigma = np.empty(n, dtype=np.float64)

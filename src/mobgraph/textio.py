@@ -5,16 +5,19 @@ opened as UTF-8 without newline translation and closed again; a stream is
 used as given (a binary one is decoded as UTF-8) and left open for its
 owner. Readers also take the content itself as bytes, and input that is not
 UTF-8 is a MobgraphError naming it. A path opened for writing is replaced
-whole once the writer is done, never left half written.
+whole once the writer is done, never left half written; `temp_files` finds
+the temp files of writers whose process died before that.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import fnmatch
 import io
 import json
 import os
+import re
 from pathlib import Path
 from typing import IO, Iterator, Union
 
@@ -42,6 +45,20 @@ def replacing(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
         raise
 
 
+_TEMP_NAME = re.compile(r"\.(.+)\.[0-9a-f]{8}\.tmp")
+
+
+def temp_files(directory: Path, *patterns: str) -> list[Path]:
+    """The temp files that replacing() left in directory, for the targets
+    whose names match one of the glob patterns."""
+    found = []
+    for path in directory.glob(".*.tmp"):
+        match = _TEMP_NAME.fullmatch(path.name)
+        if match and any(fnmatch.fnmatchcase(match[1], p) for p in patterns):
+            found.append(path)
+    return found
+
+
 @contextlib.contextmanager
 def open_text(target: Source, mode: str = "r") -> Iterator[IO[str]]:
     try:
@@ -61,6 +78,13 @@ def open_text(target: Source, mode: str = "r") -> Iterator[IO[str]]:
     except UnicodeDecodeError:
         name = target if isinstance(target, (str, Path)) else getattr(target, "name", "input")
         raise MobgraphError(f"{name} is not UTF-8 text") from None
+
+
+def has_type(value, kind: type) -> bool:
+    """Whether a value read from JSON is a kind: a bool is not an int, and an
+    int is a float."""
+    accepted = (int, float) if kind is float else kind
+    return isinstance(value, accepted) and isinstance(value, bool) == (kind is bool)
 
 
 def read_json(path: str | Path, *keys: str) -> dict:

@@ -170,6 +170,7 @@ def test_budget_failure_is_the_same_with_worker_processes(corpus_dir, tmp_path, 
                      "--out", str(out), "--clique-budget", "10",
                      "--threads", str(threads)])
         assert code == 1
+        assert files_under(out) == ["INCOMPLETE"]
         seen[threads] = (capsys.readouterr().err, (out / "INCOMPLETE").read_text())
     err, marker = seen[1]
     assert err.startswith("error: stage 'cliques' failed: maximal clique count "
@@ -290,13 +291,17 @@ def ten_channel_out(tmp_path_factory):
     return out
 
 
-def test_empty_vocabulary_fails_before_graphs_are_written(corpus_dir, tmp_path, capsys):
+@pytest.mark.parametrize("stage, flags, detail", [
+    ("embed", ["--min-count", "100000"], "min_count=100000"),  # empty vocabulary
+    ("cliques", ["--clique-budget", "10"], "exceeded budget 10"),
+], ids=["embed", "cliques"])
+def test_failed_run_leaves_only_the_marker(corpus_dir, tmp_path, capsys, stage, flags, detail):
     out = tmp_path / "run"
     assert main(["pipeline", "--input", str(corpus_dir / "comments.csv"),
-                 "--out", str(out), "--min-count", "100000"]) == 1
+                 "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: stage 'embed' failed")
-    assert "min_count=100000" in err
+    assert err.startswith(f"error: stage '{stage}' failed")
+    assert detail in err
     assert files_under(out) == ["INCOMPLETE"]
 
 
@@ -307,6 +312,18 @@ def test_failed_rerun_leaves_no_stale_artifacts(ten_channel_out, tmp_path):
     comments = synth_corpus(tmp_path / "small", 4)
     assert main(["pipeline", "--input", comments, "--out", str(out)]) == 1
     assert files_under(out) == ["INCOMPLETE", "graphs/notes.txt", "notes.txt"]
+
+
+def test_rerun_removes_leftover_temp_files(corpus_dir, pipeline_out, tmp_path):
+    out = tmp_path / "out"
+    (out / "graphs").mkdir(parents=True)
+    # What a writer killed mid-write leaves; notes.txt is not the pipeline's.
+    for name in (".embeddings.csv.deadbeef.tmp", "graphs/.ch00.gexf.cafebabe.tmp",
+                 ".notes.txt.deadbeef.tmp"):
+        (out / name).write_text("half\n")
+    assert main(["pipeline", "--input", str(corpus_dir / "comments.csv"),
+                 "--out", str(out), "--seed", "0"]) == 0
+    assert files_under(out) == sorted(files_under(pipeline_out) + [".notes.txt.deadbeef.tmp"])
 
 
 def test_smaller_rerun_leaves_no_stale_artifacts(ten_channel_out, corpus_dir,
@@ -352,6 +369,33 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code = main(["pipeline", "--config", str(config_path), "--input", "x.csv"])
     assert code == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, detail", [
+    ({"dim": "16"}, "dim must be int, got '16'"),
+    ({"include_isolated": "no"}, "include_isolated must be bool, got 'no'"),
+    ({"seed": True}, "seed must be int, got True"),
+    ({"threads": 2.5}, "threads must be int, got 2.5"),
+    ({"input": 5}, "input must be str, got 5"),
+], ids=["dim", "include_isolated", "seed", "threads", "input"])
+def test_config_value_of_wrong_type_fails_before_ingest(corpus_dir, tmp_path, capsys,
+                                                         values, detail):
+    out = tmp_path / "run"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"input": str(corpus_dir / "comments.csv"),
+                                       "out": str(out), **values}))
+    assert main(["pipeline", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: invalid config: {detail}\n"
+    assert not out.exists()
+
+
+def test_resolve_config_types():
+    config = resolve_config({"lr": 1, "umap_spread": 2.5, "dim": None, "k_max": None})
+    assert (config.lr, config.umap_spread) == (1, 2.5)  # an int is a valid float
+    assert (config.dim, config.k_max) == (128, None)  # None means "not set"
+    for values in ({"lr": True}, {"include_isolated": 1}, {"k_max": 3.0}, {"format": 1}):
+        with pytest.raises(InvalidConfig, match="must be"):
+            resolve_config(values)
 
 
 def test_threads_env_fallback(corpus_dir, tmp_path, monkeypatch):
@@ -594,6 +638,37 @@ def test_report_and_cliques_reject_bad_json(corpus_dir, tmp_path, capsys, case):
         assert err.startswith(f"error: {bad}"), argv[0]
         assert detail in err, argv[0]
         assert "Traceback" not in err, argv[0]
+
+
+BAD_LABELS = {
+    "label not an integer": {"ch00": "x"},
+    "label a bool": {"ch00": True},
+    "labels not an object": [],
+}
+
+
+@pytest.mark.parametrize("case", BAD_LABELS)
+def test_cliques_rejects_labels_of_wrong_type(corpus_dir, tmp_path, capsys, case):
+    bad = tmp_path / "report.json"
+    bad.write_text(json.dumps({"clustering": {"kmeans": {"labels": BAD_LABELS[case]}}}))
+    assert main(["cliques", "--input", str(corpus_dir / "comments.csv"),
+                 "--out", str(tmp_path / "out"), "--report", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: 'clustering.kmeans.labels' must be an object of integers\n")
+
+
+@pytest.mark.parametrize("value", ["x", None, True])
+@pytest.mark.parametrize("method", ["kmeans", "hierarchical"])
+def test_report_rejects_a_score_that_is_not_a_number(pipeline_out, tmp_path, capsys,
+                                                     method, value):
+    report = json.loads((pipeline_out / "report.json").read_text())
+    report["clustering"][method]["silhouette"] = value
+    bad = tmp_path / "report.json"
+    bad.write_text(json.dumps(report))
+    assert main(["report", "--input", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: 'clustering.{method}.silhouette' must be a number\n"
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from mobgraph.textio import open_text, write_json
+from mobgraph.textio import has_type, open_text, replacing, temp_files, write_json
 
 
 def test_writer_that_raises_partway_leaves_old_target(tmp_path):
@@ -34,3 +35,23 @@ def test_finished_write_replaces_target_and_leaves_no_temp_file(tmp_path):
     write_json({"run": "new"}, target)
     assert json.loads(target.read_text(encoding="utf-8")) == {"run": "new"}
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_temp_files_finds_what_replacing_leaves(tmp_path):
+    (tmp_path / "graphs.gexf").write_text("a finished file\n")
+    (tmp_path / ".notes.txt.deadbeef.tmp").write_text("not ours\n")
+    (tmp_path / ".ch00.gexf.notahex0.tmp").write_text("not a temp name\n")
+    with replacing(tmp_path / "ch00.gexf", "w") as out:
+        (tmp,) = temp_files(tmp_path, "*.gexf")
+        assert tmp.name.startswith(".ch00.gexf.") and tmp.name == Path(out.name).name
+        assert temp_files(tmp_path, "cliques.csv") == []
+    assert temp_files(tmp_path, "*.gexf") == []
+
+
+@pytest.mark.parametrize("value, kind, expected", [
+    (1, int, True), (True, int, False), (1, float, True), (1.5, float, True),
+    (True, float, False), (True, bool, True), (0, bool, False), ("1", int, False),
+    ("x", str, True), (1.0, int, False),
+])
+def test_has_type(value, kind, expected):
+    assert has_type(value, kind) is expected
