@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import os
+import signal
 import sys
 from collections import Counter
 from pathlib import Path
@@ -49,7 +50,8 @@ STEPS = {
               pipeline.extract_documents, pipeline.embed_documents),
     "reduce": (pipeline.reduce_points,),
     "cluster": (pipeline.cluster_points,),
-    "cliques": (pipeline.read_comments, pipeline.build_graphs, pipeline.count_cliques),
+    "cliques": (pipeline.read_comments, pipeline.build_graphs,
+                pipeline.start_census, pipeline.count_cliques),
 }
 
 
@@ -160,6 +162,13 @@ def _state(args: argparse.Namespace) -> RunState:
     return RunState(config)
 
 
+def _run_steps(state: RunState, steps) -> None:
+    """Run the steps in order, then shut down the state's worker pool."""
+    with state:
+        for step in steps:
+            step(state)
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     state = RunState(_config(args))
     pipeline.read_comments(state, on_duplicate="error" if args.strict else "warn")
@@ -175,8 +184,7 @@ def cmd_graphs(args: argparse.Namespace) -> int:
     pipeline.read_comments(state)
     if args.merged:
         state.channels = [None]  # one graph over the whole corpus
-    pipeline.build_graphs(state)
-    pipeline.write_graphs(state)
+    _run_steps(state, STEPS["graphs"][1:])
     for graph in state.graphs.values():
         path = state.out_dir / f"{graph.name}.gexf"
         print(f"{path}: {graph.n_nodes} nodes, {graph.n_edges} edges")
@@ -185,8 +193,7 @@ def cmd_graphs(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     state = _state(args)
-    for step in STEPS["embed"]:
-        step(state)
+    _run_steps(state, STEPS["embed"])
     matrix = state.matrix
     print(f"{state.out_dir / 'embeddings.csv'}: {len(matrix.graph_ids)} graphs, "
           f"dim {matrix.dim}, vocabulary {len(state.vocab)}")
@@ -233,8 +240,7 @@ def cmd_cliques(args: argparse.Namespace) -> int:
             raise MobgraphError(f"{args.report}: 'clustering.kmeans.labels' must be an "
                                 "object of integers")
         state.clustering = clustering
-    for step in STEPS["cliques"]:
-        step(state)
+    _run_steps(state, STEPS["cliques"])
     for census in sorted(state.censuses, key=lambda c: (-c.count, c.channel_id)):
         print(f"  {census.channel_id}: {census.count} maximal cliques "
               f">= {census.min_size} members")
@@ -279,18 +285,29 @@ def cmd_report(args: argparse.Namespace) -> int:
     for name, scores in (("kmeans", km), ("hierarchical", hier)):
         if not has_type(scores["silhouette"], float):
             raise MobgraphError(f"{args.input}: 'clustering.{name}.silhouette' must be a number")
-    print(f"channels ({len(report['channels'])}): {', '.join(report['channels'])}")
+    channels, warnings = report["channels"], report.get("warnings", [])
+    for key, value in (("channels", channels), ("warnings", warnings)):
+        if not isinstance(value, list) or not all(has_type(v, str) for v in value):
+            raise MobgraphError(f"{args.input}: {key!r} must be a list of strings")
+    rows = report["ranking"]["overall"]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == 3
+        and all(map(has_type, row, (str, int, int))) for row in rows
+    ):
+        raise MobgraphError(f"{args.input}: 'ranking.overall' must be a list of "
+                            "[channel, cluster, count] rows")
+    print(f"channels ({len(channels)}): {', '.join(channels)}")
     print(f"k-means: k={km['selected_k']}, silhouette {km['silhouette']:.4f}, "
           f"Davies-Bouldin {km['davies_bouldin']}")
     print(f"cut-tree: k={hier['selected_k']}, silhouette {hier['silhouette']:.4f}, "
           f"Davies-Bouldin {hier['davies_bouldin']}, "
           f"cophenetic {hier['cophenetic_correlation']}")
     print(f"clique census (min size {report['cliques']['min_size']}):")
-    for channel, cluster, count in report["ranking"]["overall"]:
+    for channel, cluster, count in rows:
         print(f"  {channel} (cluster {cluster}): {count}")
-    if report.get("warnings"):
+    if warnings:
         print("warnings:")
-        for message in report["warnings"]:
+        for message in warnings:
             print(f"  {message}")
     return 0
 
@@ -298,6 +315,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # SIGTERM (kill, timeout) stops a run the way Ctrl-C does, through the
+    # cleanup that shuts the workers down; by default it would orphan them.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return args.func(args)
     except MobgraphError as exc:
@@ -306,6 +326,11 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -1,23 +1,27 @@
 """End-to-end orchestration: comments in, ranked channels and artifacts out.
 
 Stage order: ingest -> graphs -> wl -> embed -> reduce -> cluster -> cliques
--> rank -> report. Each step is one function over a RunState; `STAGES`
-lists them in order with the config fields they read, and both run_pipeline
-and the CLI subcommands call these same functions. The first failing stage
-aborts the run, names itself in the raised error, and leaves an INCOMPLETE
-marker in the output directory in place of every artifact. Given one seed,
-two runs produce byte-identical artifacts except timings.
+-> rank -> report; the clique census is queued before embed and read after
+cluster, so with worker processes it runs behind those three. Each step is
+one function over a RunState; `STAGES` lists them in order with the config
+fields they read, and both run_pipeline and the CLI subcommands call these
+same functions. The first failing stage aborts the run, names itself in the
+raised error, and leaves an INCOMPLETE marker in the output directory in
+place of every artifact; so does an interrupt. Given one seed, two runs
+produce byte-identical artifacts except timings.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import os
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import cliques as cliques_mod
 from . import cluster as cluster_mod
@@ -38,6 +42,9 @@ from .errors import (
 )
 from .graph import Graph
 from .textio import has_type, read_json, temp_files, write_json
+
+if TYPE_CHECKING:
+    from concurrent.futures.process import ProcessPoolExecutor
 
 logger = logging.getLogger(__name__)
 
@@ -217,19 +224,36 @@ class _WarningCollector(logging.Handler):
         self.messages.append(record.getMessage())
 
 
-# A worker's task. Each forked worker sets it at start from the function its
-# pool was made for, inherited with the RunState it closes over, so nothing
-# but channel ids is pickled on the way in.
-_task: Callable[[str | None], object] | None = None
+# The RunState of a worker process. Its pool's initializer sets it to the
+# parent's, inherited at fork with the graphs, so a task pickles nothing but
+# a module-level function's name, a channel id and small keyword arguments.
+_worker_state: RunState | None = None
 
 
-def _start_worker(fn: Callable[[str | None], object]) -> None:
-    global _task
-    _task = fn
+def _start_worker(state: RunState) -> None:
+    global _worker_state
+    _worker_state = state
+    # Ctrl-C reaches the whole process group; only the parent acts on it.
+    # SIGTERM ends a worker outright, whatever handler the parent has.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # The census runs behind the parent's embed, reduce and cluster, and
+    # should take only the CPU time those leave idle.
+    os.nice(10)
 
 
-def _run_task(channel: str | None) -> object:
-    return _task(channel)
+def _run_task(fn: Callable, channel: str | None, kwargs: dict) -> object:
+    return fn(_worker_state.graphs[channel], **kwargs)
+
+
+class _Deferred:
+    """The pending result of a call made in this process when it is read."""
+
+    def __init__(self, fn: Callable, *args, **kwargs):
+        self._call = functools.partial(fn, *args, **kwargs)
+
+    def result(self) -> object:
+        return self._call()
 
 
 def _usable_cpus() -> int:
@@ -238,36 +262,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_channels(
-    channels: list[str | None], fn: Callable[[str | None], object], threads: int
-) -> dict[str | None, object]:
-    """fn(channel) for every channel, in channel order. With threads > 1 the
-    calls run in up to that many forked worker processes (no more than
-    channels or usable CPUs); without fork they run serially in this one.
-    The first failure cancels the calls not yet started, and the error
-    raised is that of the first failing channel in order, as serially."""
-    workers = min(threads, len(channels), _usable_cpus())
-    if workers > 1:
-        import multiprocessing
+def _map_channels(state: RunState, fn: Callable, **kwargs) -> list:
+    """One pending result of fn(graph, **kwargs) per channel, in channel
+    order; `.result()` waits for it. fn is a module-level function, sent to
+    the run's workers by name (see RunState.workers). Without workers each
+    call runs here, when its result is read. Read in order, the results
+    raise the error of the first failing channel, as a serial run does."""
+    pool = state.workers()
+    if pool is None:
+        return [_Deferred(fn, state.graphs[c], **kwargs) for c in state.channels]
+    return [pool.submit(_run_task, fn, c, kwargs) for c in state.channels]
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import FIRST_EXCEPTION, wait
-            from concurrent.futures.process import ProcessPoolExecutor
 
-            # fork, not spawn: a spawned worker would need the graphs pickled
-            # to it. In a pipeline run the only other threads at fork time are
-            # numpy's idle BLAS pool, and the per-channel stages call no BLAS.
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_start_worker, initargs=(fn,),
-            )
-            try:
-                futures = [pool.submit(_run_task, c) for c in channels]
-                wait(futures, return_when=FIRST_EXCEPTION)
-            finally:
-                pool.shutdown(cancel_futures=True)
-            return {c: future.result() for c, future in zip(channels, futures)}
-    return {c: fn(c) for c in channels}
+def _gather(pending: list) -> list:
+    return [result.result() for result in pending]
 
 
 def strip_timings(report: dict) -> dict:
@@ -298,11 +306,13 @@ class RunState:
     coords: object = None  # (n_channels, umap_components) array
     reduce_info: dict = field(default_factory=dict)
     clustering: dict = field(default_factory=dict)
+    pending_censuses: list = field(default_factory=list)  # from _map_channels
     censuses: list[cliques_mod.CliqueCensus] = field(default_factory=list)
     ranking: cliques_mod.SuspiciousnessRanking | None = None
     timings: dict[str, float] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     report: dict = field(default_factory=dict)
+    pool: ProcessPoolExecutor | None = field(default=None, init=False, repr=False)
 
     @property
     def out_dir(self) -> Path:
@@ -312,6 +322,41 @@ class RunState:
     def labels(self) -> dict:
         """k-means label per channel; empty until clustering is known."""
         return self.clustering["kmeans"]["labels"] if self.clustering else {}
+
+    def workers(self) -> ProcessPoolExecutor | None:
+        """The run's one pool of worker processes, or None when its channels
+        run serially in this process: threads 1, one channel, one usable CPU,
+        or no fork. The first call with threads > 1 forks up to that many
+        workers, so call it only once the graphs are built."""
+        if self.pool is None:
+            workers = min(self.config.threads, len(self.channels), _usable_cpus())
+            if workers > 1:
+                import multiprocessing
+
+                if "fork" in multiprocessing.get_all_start_methods():
+                    from concurrent.futures.process import ProcessPoolExecutor
+
+                    # fork, not spawn: a spawned worker would need the graphs
+                    # pickled to it. The only other threads at fork time are
+                    # numpy's idle BLAS pool; the workers call no BLAS.
+                    self.pool = ProcessPoolExecutor(
+                        workers, mp_context=multiprocessing.get_context("fork"),
+                        initializer=_start_worker, initargs=(self,),
+                    )
+        return self.pool
+
+    def close(self) -> None:
+        """Shut the worker pool down: cancel the tasks not started, and wait
+        for the running ones and for the workers to exit."""
+        if self.pool is not None:
+            self.pool.shutdown(wait=True, cancel_futures=True)
+            self.pool = None
+
+    def __enter__(self) -> RunState:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def read_comments(state: RunState, on_duplicate: str = "warn") -> None:
@@ -346,8 +391,9 @@ def check_corpus_size(state: RunState) -> None:
 
 
 def build_graphs(state: RunState) -> None:
-    """One graph per channel, built serially here: forked workers of the
-    later stages inherit the graphs rather than pickling them back."""
+    """One graph per channel, built serially here: the run's workers, forked
+    by the first stage that uses them, inherit the graphs rather than
+    pickling them back."""
     config = state.config
     # One pass, input order kept; channel None is the whole corpus.
     by_channel: dict[str | None, list[ingest_mod.CommentRecord]] = {None: state.records}
@@ -365,16 +411,17 @@ def build_graphs(state: RunState) -> None:
 
 def _over_graphs(state: RunState, fn: Callable, **kwargs) -> list:
     """fn(graph, **kwargs) for every channel's graph, in channel order."""
-    def call(channel: str | None):
-        return fn(state.graphs[channel], **kwargs)
+    return _gather(_map_channels(state, fn, **kwargs))
 
-    return list(_map_channels(state.channels, call, state.config.threads).values())
+
+def _write_gexf(graph: Graph, directory: Path) -> None:
+    gexf_mod.write_gexf(graph, directory / f"{graph.name}.gexf")
 
 
 def write_graphs(state: RunState) -> None:
     directory = state.graphs_dir or state.out_dir
     directory.mkdir(parents=True, exist_ok=True)
-    _over_graphs(state, lambda graph: gexf_mod.write_gexf(graph, directory / f"{graph.name}.gexf"))
+    _over_graphs(state, _write_gexf, directory=directory)
 
 
 def extract_documents(state: RunState) -> None:
@@ -433,14 +480,21 @@ def cluster_points(state: RunState) -> None:
     )
 
 
-def count_cliques(state: RunState) -> None:
+def start_census(state: RunState) -> None:
+    """Queue every channel's clique census with the run's workers, which
+    count while this process embeds, reduces and clusters. Without workers
+    nothing runs until count_cliques reads the results."""
     config = state.config
-    state.censuses = _over_graphs(
+    state.pending_censuses = _map_channels(
         state,
         cliques_mod.clique_census,
         min_size=config.clique_min_size,
         budget=config.clique_budget,
     )
+
+
+def count_cliques(state: RunState) -> None:
+    state.censuses = _gather(state.pending_censuses)
     cliques_mod.write_census_csv(
         state.censuses, state.labels, state.out_dir / ARTIFACTS["cliques"]
     )
@@ -492,13 +546,14 @@ STAGES: tuple[tuple[str, Callable[[RunState], None], tuple[str, ...]], ...] = (
     ("graphs", build_graphs, ("min_shared_videos", "include_isolated")),
     ("graphs", write_graphs, ("threads",)),
     ("wl", extract_documents, ("threads", "wl_iterations", "wl_weight_buckets")),
+    ("cliques", start_census, ("threads", "clique_min_size", "clique_budget")),
     ("embed", embed_documents, ("seed", "dim", "lr", "min_count", "epochs", "negative")),
     ("reduce", reduce_points, (
         "seed", "umap_neighbors", "umap_min_dist", "umap_components",
         "umap_spread", "umap_epochs", "umap_negative_rate",
     )),
     ("cluster", cluster_points, ("seed", "cluster_space", "k_min", "k_max", "n_init")),
-    ("cliques", count_cliques, ("threads", "clique_min_size", "clique_budget")),
+    ("cliques", count_cliques, ()),
     ("rank", rank, ()),
     ("report", write_report, ()),
 )
@@ -534,14 +589,18 @@ def run_pipeline(config: PipelineConfig) -> dict:
     state = RunState(config, graphs_dir=out_dir / GRAPHS_DIR, warnings=collector.messages)
     stage = STAGES[0][0]
     try:
-        for stage, step, _fields in STAGES:
-            started = time.perf_counter()
-            step(state)
-            elapsed = time.perf_counter() - started
-            state.timings[stage] = state.timings.get(stage, 0.0) + elapsed
+        with state:  # the workers are gone before any cleanup below
+            for stage, step, _fields in STAGES:
+                started = time.perf_counter()
+                step(state)
+                elapsed = time.perf_counter() - started
+                state.timings[stage] = state.timings.get(stage, 0.0) + elapsed
         return state.report
-    except Exception as exc:  # noqa: BLE001 - stage context is the contract
+    except BaseException as exc:  # noqa: BLE001 - stage context is the contract
         _remove_artifacts(out_dir)
+        if not isinstance(exc, Exception):  # Ctrl-C, or a signal handler's exit
+            marker.write_text(f"failed at stage: {stage}\ninterrupted\n", encoding="utf-8")
+            raise
         marker.write_text(f"failed at stage: {stage}\n{exc}\n", encoding="utf-8")
         raise PipelineStageError(stage, exc) from exc
     finally:

@@ -1,19 +1,26 @@
 import json
+import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import mobgraph
+from mobgraph import embed as embed_mod
 from mobgraph import pipeline as pipeline_mod
 from mobgraph.cli import STEPS, _config, build_parser, main
 from mobgraph.errors import InvalidConfig, PipelineStageError
+from mobgraph.graph import Graph
 from mobgraph.pipeline import (
     CONFIG_FIELDS,
     PipelineConfig,
+    RunState,
+    _gather,
     _map_channels,
     fields_read,
     load_config_file,
@@ -171,6 +178,7 @@ def test_budget_failure_is_the_same_with_worker_processes(corpus_dir, tmp_path, 
                      "--threads", str(threads)])
         assert code == 1
         assert files_under(out) == ["INCOMPLETE"]
+        assert multiprocessing.active_children() == []
         seen[threads] = (capsys.readouterr().err, (out / "INCOMPLETE").read_text())
     err, marker = seen[1]
     assert err.startswith("error: stage 'cliques' failed: maximal clique count "
@@ -179,34 +187,81 @@ def test_budget_failure_is_the_same_with_worker_processes(corpus_dir, tmp_path, 
     assert seen[2] == seen[1]
 
 
+def channel_state(channels, threads):
+    """A RunState over one empty graph per channel, named after it."""
+    return RunState(PipelineConfig(threads=threads), channels=list(channels),
+                    graphs={c: Graph(c) for c in channels})
+
+
+# Channel tasks: module-level, as the workers get them by name.
+def upper_name(graph):
+    return graph.name.upper()
+
+
+def fail_on_b_and_d(graph):
+    if graph.name in ("b", "d"):
+        raise InvalidConfig(f"bad {graph.name}")
+    return graph.name.upper()
+
+
+def process_id(graph):
+    return os.getpid()
+
+
 def test_map_channels_raises_the_first_failing_channel_in_order(monkeypatch):
     monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
-
-    def task(channel):
-        if channel in ("b", "d"):
-            raise InvalidConfig(f"bad {channel}")
-        return channel.upper()
-
-    assert _map_channels(list("abc"), str.upper, 2) == {"a": "A", "b": "B", "c": "C"}
+    with channel_state("abc", 2) as state:
+        assert _gather(_map_channels(state, upper_name)) == ["A", "B", "C"]
     for threads in (1, 2):
-        with pytest.raises(InvalidConfig, match="bad b"):
-            _map_channels(list("abcde"), task, threads)
+        with channel_state("abcde", threads) as state:
+            with pytest.raises(InvalidConfig, match="bad b"):
+                _gather(_map_channels(state, fail_on_b_and_d))
 
 
 @pytest.mark.parametrize("cpus, forked", [(1, False), (2, True)])
 def test_map_channels_workers_capped_by_cpus(monkeypatch, cpus, forked):
     monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: cpus)
-    pids = _map_channels(["a", "b", "c"], lambda c: os.getpid(), 4)
-    assert list(pids) == ["a", "b", "c"]
-    assert (os.getpid() not in pids.values()) == forked
+    with channel_state("abc", 4) as state:
+        pids = _gather(_map_channels(state, process_id))
+    assert len(pids) == 3
+    assert len(set(pids)) <= cpus
+    assert (os.getpid() not in pids) == forked
 
 
 def test_map_channels_runs_serially_without_fork(monkeypatch):
-    import multiprocessing
-
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    pids = _map_channels(["a", "b", "c"], lambda c: os.getpid(), 2)
-    assert set(pids.values()) == {os.getpid()}
+    with channel_state("abc", 2) as state:
+        pids = _gather(_map_channels(state, process_id))
+        assert state.pool is None
+    assert set(pids) == {os.getpid()}
+
+
+TASK_LOG = "MOBGRAPH_TEST_TASK_LOG"  # set by the test; forked workers inherit it
+run_task = pipeline_mod._run_task
+
+
+def logged_task(fn, channel, kwargs):
+    with open(os.environ[TASK_LOG], "a", encoding="utf-8") as log:
+        log.write(f"{fn.__name__} {os.getpid()}\n")
+    return run_task(fn, channel, kwargs)
+
+
+def test_one_worker_pool_per_run(corpus_dir, pipeline_out, tmp_path, monkeypatch):
+    log = tmp_path / "tasks.log"
+    monkeypatch.setenv(TASK_LOG, str(log))
+    monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline_mod, "_run_task", logged_task)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--input", str(corpus_dir / "comments.csv"),
+                 "--out", str(out), "--seed", "0", "--threads", "2"]) == 0
+    assert multiprocessing.active_children() == []
+    tasks = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(name for name, _ in tasks) == sorted(
+        ["_write_gexf", "extract_document", "clique_census"] * 8)
+    pids = {int(pid) for _, pid in tasks}
+    assert len(pids) <= 2
+    assert os.getpid() not in pids
+    assert read_bytes(out / "cliques.csv") == read_bytes(pipeline_out / "cliques.csv")
 
 
 def test_pipeline_missing_input(tmp_path, capsys):
@@ -294,8 +349,12 @@ def ten_channel_out(tmp_path_factory):
 @pytest.mark.parametrize("stage, flags, detail", [
     ("embed", ["--min-count", "100000"], "min_count=100000"),  # empty vocabulary
     ("cliques", ["--clique-budget", "10"], "exceeded budget 10"),
-], ids=["embed", "cliques"])
-def test_failed_run_leaves_only_the_marker(corpus_dir, tmp_path, capsys, stage, flags, detail):
+    # The census is queued with the workers before embed fails.
+    ("embed", ["--min-count", "10000", "--threads", "2"], "min_count=10000"),
+], ids=["embed", "cliques", "embed-with-workers"])
+def test_failed_run_leaves_only_the_marker(corpus_dir, tmp_path, capsys, monkeypatch,
+                                           stage, flags, detail):
+    monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
     out = tmp_path / "run"
     assert main(["pipeline", "--input", str(corpus_dir / "comments.csv"),
                  "--out", str(out), *flags]) == 1
@@ -303,6 +362,56 @@ def test_failed_run_leaves_only_the_marker(corpus_dir, tmp_path, capsys, stage, 
     assert err.startswith(f"error: stage '{stage}' failed")
     assert detail in err
     assert files_under(out) == ["INCOMPLETE"]
+    assert multiprocessing.active_children() == []
+
+
+def interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def terminate(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGTERM)
+    time.sleep(10)  # the handler raises before this returns
+
+
+def sigterm_not_handled(signum, frame):
+    raise AssertionError("main left SIGTERM to the default action")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("stop", [interrupt, terminate], ids=["ctrl-c", "sigterm"])
+def test_interrupted_run_leaves_only_the_marker(corpus_dir, tmp_path, capsys, monkeypatch,
+                                                stop, threads):
+    monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(embed_mod, "train_embeddings", stop)
+    out = tmp_path / "run"
+    previous = signal.signal(signal.SIGTERM, sigterm_not_handled)
+    try:
+        assert main(["pipeline", "--input", str(corpus_dir / "comments.csv"),
+                     "--out", str(out), "--threads", str(threads)]) == 130
+        assert signal.getsignal(signal.SIGTERM) is sigterm_not_handled
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert files_under(out) == ["INCOMPLETE"]
+    assert (out / "INCOMPLETE").read_text() == "failed at stage: embed\ninterrupted\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_subcommands_with_workers_write_the_same_bytes(corpus_dir, pipeline_out, tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
+    comments = str(corpus_dir / "comments.csv")
+    out = tmp_path / "stages"
+    for command in ("graphs", "embed", "cliques"):
+        assert main([command, "--input", comments, "--out", str(out),
+                     "--threads", "2"]) == 0
+        assert multiprocessing.active_children() == [], command
+    assert read_bytes(out / "ch00.gexf") == read_bytes(pipeline_out / "graphs" / "ch00.gexf")
+    assert read_bytes(out / "embeddings.csv") == read_bytes(pipeline_out / "embeddings.csv")
+    counts = json.loads((pipeline_out / "report.json").read_text())["cliques"]["counts"]
+    rows = (out / "cliques.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0]: int(row.split(",")[3]) for row in rows} == counts
 
 
 def test_failed_rerun_leaves_no_stale_artifacts(ten_channel_out, tmp_path):
@@ -657,6 +766,9 @@ def test_cliques_rejects_labels_of_wrong_type(corpus_dir, tmp_path, capsys, case
         f"error: {bad}: 'clustering.kmeans.labels' must be an object of integers\n")
 
 
+OVERALL_SHAPE = "'ranking.overall' must be a list of [channel, cluster, count] rows"
+
+
 @pytest.mark.parametrize("value", ["x", None, True])
 @pytest.mark.parametrize("method", ["kmeans", "hierarchical"])
 def test_report_rejects_a_score_that_is_not_a_number(pipeline_out, tmp_path, capsys,
@@ -669,6 +781,35 @@ def test_report_rejects_a_score_that_is_not_a_number(pipeline_out, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {bad}: 'clustering.{method}.silhouette' must be a number\n"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("channels", 5, "'channels' must be a list of strings"),
+    ("channels", ["ch00", 1], "'channels' must be a list of strings"),
+    ("warnings", 5, "'warnings' must be a list of strings"),
+    ("warnings", [None], "'warnings' must be a list of strings"),
+    ("overall", 5, OVERALL_SHAPE),
+    # A good row first: nothing may be printed before the bad one is found.
+    ("overall", [["ch00", 0, 3], ["ch01", 0]], OVERALL_SHAPE),
+    ("overall", [["ch00", 0, 3], ["ch01", 0, 3, 1]], OVERALL_SHAPE),
+    ("overall", [["ch00", 0, 3], ["ch01", "0", 3]], OVERALL_SHAPE),
+    ("overall", [["ch00", 0, 3], [1, 0, 3]], OVERALL_SHAPE),
+    ("overall", [["ch00", 0, 3], ["ch01", 0, True]], OVERALL_SHAPE),
+    ("overall", [["ch00", 0, 3], "ch01"], OVERALL_SHAPE),
+])
+def test_report_rejects_channels_and_rows_of_wrong_shape(pipeline_out, tmp_path, capsys,
+                                                         key, value, message):
+    report = json.loads((pipeline_out / "report.json").read_text())
+    if key == "overall":
+        report["ranking"]["overall"] = value
+    else:
+        report[key] = value
+    bad = tmp_path / "report.json"
+    bad.write_text(json.dumps(report))
+    assert main(["report", "--input", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: {message}\n"
 
 
 @pytest.mark.parametrize("flag,value", [

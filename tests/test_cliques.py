@@ -14,7 +14,7 @@ from mobgraph.cliques import (
 from mobgraph.errors import CliqueBudgetExceeded, MissingLabel
 from mobgraph.graph import Graph
 from mobgraph.ingest import CommentRecord, build_co_commenter_graph
-from mobgraph.pipeline import PipelineConfig, RunState, count_cliques
+from mobgraph.pipeline import PipelineConfig, RunState, count_cliques, start_census
 
 from conftest import permuted_copy, random_graph
 
@@ -245,9 +245,10 @@ def test_count_cliques_same_census_for_one_and_two_threads(tmp_path):
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"
         out.mkdir()
-        state = RunState(PipelineConfig(out=str(out), threads=threads),
-                         channels=channels, graphs=graphs)
-        count_cliques(state)
+        with RunState(PipelineConfig(out=str(out), threads=threads),
+                      channels=channels, graphs=graphs) as state:
+            start_census(state)
+            count_cliques(state)
         assert [c.channel_id for c in state.censuses] == channels
         censuses[threads] = (state.censuses, (out / "cliques.csv").read_bytes())
     assert censuses[1] == censuses[2]
