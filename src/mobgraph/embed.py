@@ -156,9 +156,10 @@ def train_embeddings(
             cum, noise_rng.random(k) * total_mass, side="right"
         ).tolist()
     )
+    if len(vocab) == 1:
+        negative = 0  # no token other than the positive one to draw as noise
     labels = np.zeros(1 + negative, dtype=np.float64)
     labels[0] = 1.0
-    single_token = len(vocab) == 1
     lr_span = final_lr - initial_lr
     doc_rows = list(docvecs)  # row views: updating one updates docvecs
 
@@ -172,23 +173,17 @@ def train_embeddings(
                     lr = initial_lr + lr_span * (update / (total_updates - 1))
                 else:
                     lr = initial_lr
-                if single_token:
-                    idx = np.array([w])
-                    lab = labels[:1]
-                    distinct = True
-                else:
-                    negs: list[int] = []
-                    while len(negs) < negative:
-                        draw = next(noise)
-                        if draw != w:
-                            negs.append(draw)
-                    idx = np.array([w] + negs)
-                    lab = labels
-                    distinct = len(set(negs)) == negative
+                negs: list[int] = []
+                while len(negs) < negative:
+                    draw = next(noise)
+                    if draw != w:
+                        negs.append(draw)
+                idx = np.array([w] + negs)
+                distinct = len(set(negs)) == negative
                 rows = tokenvecs[idx]
                 if objective_out is not None:
-                    epoch_objective += pair_objective(doc_vec, rows, lab)
-                grad_doc, grad_tokens = pair_gradients(doc_vec, rows, lab)
+                    epoch_objective += pair_objective(doc_vec, rows, labels)
+                grad_doc, grad_tokens = pair_gradients(doc_vec, rows, labels)
                 if distinct:
                     tokenvecs[idx] = rows + lr * grad_tokens
                 else:  # a repeated row must take its updates one after another

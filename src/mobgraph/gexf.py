@@ -10,7 +10,7 @@ import io
 import xml.etree.ElementTree as ET
 
 from .errors import DirectedGraphUnsupported, MalformedGexf
-from .graph import Graph, canonical_edge
+from .graph import Graph
 from .textio import Source, TextTarget, open_text
 
 GEXF_XMLNS = "http://www.gexf.net/1.2draft"
@@ -103,7 +103,6 @@ def read_gexf(source: Source) -> Graph:
             raise MalformedGexf(f"duplicate node id {nid!r}")
         graph.add_node(nid)
 
-    seen_pairs: set[tuple[str, str]] = set()
     for edge_el in graph_el.iterfind("{*}edges/{*}edge"):
         if edge_el.get("type", "undirected") != "undirected":
             raise DirectedGraphUnsupported(
@@ -117,10 +116,8 @@ def read_gexf(source: Source) -> Graph:
             raise MalformedGexf(f"edge references undeclared node: {u!r}-{v!r}")
         if u == v:
             raise MalformedGexf(f"self-loop on node {u!r}")
-        key = canonical_edge(u, v)
-        if key in seen_pairs:
+        if graph.has_edge(u, v):
             raise MalformedGexf(f"duplicate edge {u!r}-{v!r}")
-        seen_pairs.add(key)
         raw = edge_el.get("weight", "1")
         try:
             weight = float(raw)

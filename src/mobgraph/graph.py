@@ -1,18 +1,14 @@
 """Undirected weighted graph used throughout the pipeline.
 
 Nodes are string ids (commenter ids). Edges carry a positive integer-valued
-weight (number of shared videos). Self-loops are rejected. Edge keys are
-stored canonically as (min, max) so lookups are orientation-free.
+weight (number of shared videos). Self-loops are rejected. Each node maps
+its neighbours to the edge weights, so an edge is stored under both of its
+endpoints and lookups are orientation-free.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-
-def canonical_edge(u: str, v: str) -> tuple[str, str]:
-    """Order an edge key so (u, v) and (v, u) collide."""
-    return (u, v) if u <= v else (v, u)
+from typing import AbstractSet, Iterator
 
 
 class Graph:
@@ -20,14 +16,13 @@ class Graph:
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._adj: dict[str, set[str]] = {}
-        self._weights: dict[tuple[str, str], float] = {}
+        self._adj: dict[str, dict[str, float]] = {}
 
     # --- construction ---------------------------------------------------
 
     def add_node(self, u: str) -> None:
         if u not in self._adj:
-            self._adj[u] = set()
+            self._adj[u] = {}
 
     def add_edge(self, u: str, v: str, weight: float = 1.0) -> None:
         if u == v:
@@ -36,9 +31,7 @@ class Graph:
             raise ValueError(f"edge weight must be positive, got {weight}")
         self.add_node(u)
         self.add_node(v)
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        self._weights[canonical_edge(u, v)] = float(weight)
+        self._adj[u][v] = self._adj[v][u] = float(weight)
 
     # --- queries ----------------------------------------------------------
 
@@ -46,13 +39,14 @@ class Graph:
         return u in self._adj
 
     def has_edge(self, u: str, v: str) -> bool:
-        return canonical_edge(u, v) in self._weights
+        return v in self._adj.get(u, ())
 
     def weight(self, u: str, v: str) -> float:
-        return self._weights[canonical_edge(u, v)]
+        return self._adj[u][v]
 
-    def neighbors(self, u: str) -> set[str]:
-        return self._adj[u]
+    def neighbors(self, u: str) -> AbstractSet[str]:
+        """A read-only, live set view of u's neighbours."""
+        return self._adj[u].keys()
 
     def degree(self, u: str) -> int:
         return len(self._adj[u])
@@ -63,7 +57,9 @@ class Graph:
 
     def edges(self) -> list[tuple[str, str, float]]:
         """(u, v, weight) triples, u < v, sorted lexicographically."""
-        return [(u, v, self._weights[(u, v)]) for u, v in sorted(self._weights)]
+        return sorted(
+            (u, v, w) for u, nbrs in self._adj.items() for v, w in nbrs.items() if u < v
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -71,14 +67,14 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        return len(self._weights)
+        return sum(map(len, self._adj.values())) // 2
 
     # --- comparison ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj.keys() == other._adj.keys() and self._weights == other._weights
+        return self._adj == other._adj
 
     def __repr__(self) -> str:
         return f"Graph(name={self.name!r}, nodes={self.n_nodes}, edges={self.n_edges})"

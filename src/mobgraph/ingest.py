@@ -201,20 +201,21 @@ def build_co_commenter_graph(
     for r in selected:
         commenters_by_video.setdefault(r.video_id, set()).add(r.commenter_id)
 
-    shared: dict[tuple[str, str], int] = {}
+    shared: dict[str, dict[str, int]] = {}  # shared[u][v], u < v
     for commenters in commenters_by_video.values():
         group = sorted(commenters)
         for i, u in enumerate(group):
+            row = shared.setdefault(u, {})
             for v in group[i + 1:]:
-                key = (u, v)
-                shared[key] = shared.get(key, 0) + 1
+                row[v] = row.get(v, 0) + 1
 
     graph = Graph(name)
     if include_isolated:
         for commenters in commenters_by_video.values():
             for u in commenters:
                 graph.add_node(u)
-    for (u, v), count in shared.items():
-        if count >= min_shared_videos:
-            graph.add_edge(u, v, float(count))
+    for u, row in shared.items():
+        for v, count in row.items():
+            if count >= min_shared_videos:
+                graph.add_edge(u, v, float(count))
     return graph

@@ -18,6 +18,7 @@ import functools
 import logging
 import os
 import signal
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -228,11 +229,25 @@ class _WarningCollector(logging.Handler):
 # parent's, inherited at fork with the graphs, so a task pickles nothing but
 # a module-level function's name, a channel id and small keyword arguments.
 _worker_state: RunState | None = None
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
-def _start_worker(state: RunState) -> None:
+def _start_worker(state: RunState, parent: int) -> None:
     global _worker_state
     _worker_state = state
+    if sys.platform == "linux":
+        # Die with the parent, even one killed outright: a worker holds the
+        # pool's call queue open itself, so it would never see end-of-file.
+        # The signal follows the forking thread, the parent's main thread.
+        import ctypes
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+            raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+        if os.getppid() != parent:  # the parent died before prctl took effect
+            os._exit(1)
     # Ctrl-C reaches the whole process group; only the parent acts on it.
     # SIGTERM ends a worker outright, whatever handler the parent has.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -341,22 +356,33 @@ class RunState:
                     # numpy's idle BLAS pool; the workers call no BLAS.
                     self.pool = ProcessPoolExecutor(
                         workers, mp_context=multiprocessing.get_context("fork"),
-                        initializer=_start_worker, initargs=(self,),
+                        initializer=_start_worker, initargs=(self, os.getpid()),
                     )
         return self.pool
 
-    def close(self) -> None:
+    def close(self, kill: bool = False) -> None:
         """Shut the worker pool down: cancel the tasks not started, and wait
-        for the running ones and for the workers to exit."""
-        if self.pool is not None:
-            self.pool.shutdown(wait=True, cancel_futures=True)
-            self.pool = None
+        for the workers to exit. The running tasks are waited for, unless
+        kill is set (a failed or interrupted run), which kills the workers."""
+        if self.pool is None:
+            return
+        if kill:
+            processes = list((self.pool._processes or {}).values())
+            if hasattr(self.pool, "kill_workers"):  # Python 3.14
+                self.pool.kill_workers()
+            else:  # what kill_workers does
+                for process in processes:
+                    process.kill()
+            for process in processes:
+                process.join()
+        self.pool.shutdown(wait=True, cancel_futures=True)
+        self.pool = None
 
     def __enter__(self) -> RunState:
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc_info) -> None:
+        self.close(kill=exc_type is not None)
 
 
 def read_comments(state: RunState, on_duplicate: str = "warn") -> None:

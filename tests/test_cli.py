@@ -146,15 +146,19 @@ def default_run_modules(corpus_dir, tmp_path_factory):
         "run_pipeline(PipelineConfig(input=sys.argv[1], out=sys.argv[2]))\n"
         "print(' '.join(sorted(sys.modules)))\n"
     )
-    src = str(Path(mobgraph.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = tmp_path_factory.mktemp("fresh") / "run"
     done = subprocess.run(
         [sys.executable, "-c", script, str(corpus_dir / "comments.csv"), str(out)],
-        env=env, capture_output=True, text=True, check=True,
+        env=fresh_env(), capture_output=True, text=True, check=True,
     )
     return done.stdout.splitlines()[-1].split()
+
+
+def fresh_env():
+    """The environment for a child interpreter that imports this mobgraph."""
+    src = str(Path(mobgraph.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_default_run_loads_no_scipy(default_run_modules):
@@ -363,6 +367,95 @@ def test_failed_run_leaves_only_the_marker(corpus_dir, tmp_path, capsys, monkeyp
     assert detail in err
     assert files_under(out) == ["INCOMPLETE"]
     assert multiprocessing.active_children() == []
+
+
+def slow_census_task(fn, channel, kwargs):
+    if fn.__name__ == "clique_census":
+        with open(os.environ[TASK_LOG], "a", encoding="utf-8") as log:
+            log.write(f"{os.getpid()}\n")
+        time.sleep(30)
+    return run_task(fn, channel, kwargs)
+
+
+def test_failed_run_does_not_wait_for_running_census_tasks(corpus_dir, tmp_path, capsys,
+                                                            monkeypatch):
+    log = tmp_path / "census.log"
+    monkeypatch.setenv(TASK_LOG, str(log))
+    monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline_mod, "_run_task", slow_census_task)
+    build_vocabulary = embed_mod.build_vocabulary
+
+    def once_both_workers_count(*args, **kwargs):
+        deadline = time.monotonic() + 5
+        while not (log.exists() and len(log.read_text().split()) == 2):
+            assert time.monotonic() < deadline, "the census tasks never started"
+            time.sleep(0.01)
+        return build_vocabulary(*args, **kwargs)
+
+    monkeypatch.setattr(embed_mod, "build_vocabulary", once_both_workers_count)
+    out = tmp_path / "run"
+    started = time.monotonic()
+    assert main(["pipeline", "--input", str(corpus_dir / "comments.csv"),
+                 "--out", str(out), "--min-count", "10000", "--threads", "2"]) == 1
+    assert time.monotonic() - started < 5
+    assert capsys.readouterr().err.startswith("error: stage 'embed' failed")
+    assert files_under(out) == ["INCOMPLETE"]
+    assert multiprocessing.active_children() == []
+
+
+# Run by a child interpreter: a pipeline whose census tasks log their pid and
+# sleep, so the test can kill the run while its workers are busy.
+KILLED_RUN = """
+import os, sys, time
+from mobgraph import pipeline
+from mobgraph.cli import main
+
+run_task = pipeline._run_task
+
+def logged_census_task(fn, channel, kwargs):
+    if fn.__name__ == "clique_census":
+        with open(sys.argv[1], "a", encoding="utf-8") as log:
+            log.write(f"{os.getpid()}\\n")
+        time.sleep(60)
+    return run_task(fn, channel, kwargs)
+
+pipeline._run_task = logged_census_task
+pipeline._usable_cpus = lambda: 2
+sys.exit(main(["pipeline", "--input", sys.argv[2], "--out", sys.argv[3],
+               "--threads", "2"]))
+"""
+
+
+def gone_or_zombie(pid):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rpartition(")")[2].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+def test_workers_die_with_a_killed_parent(corpus_dir, tmp_path):
+    log = tmp_path / "pids.log"
+    run = subprocess.Popen(
+        [sys.executable, "-c", KILLED_RUN, str(log), str(corpus_dir / "comments.csv"),
+         str(tmp_path / "run")], env=fresh_env(), stdout=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (log.exists() and len(log.read_text().split()) >= 2):
+            assert run.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+    finally:
+        run.kill()
+        run.wait(timeout=10)
+    pids = {int(pid) for pid in log.read_text().split()}
+    deadline = time.monotonic() + 5
+    while not all(gone_or_zombie(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in pids if not gone_or_zombie(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert survivors == []
 
 
 def interrupt(*args, **kwargs):

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
-from mobgraph.graph import Graph, canonical_edge
-
-
-def test_canonical_edge_orders_pairs():
-    assert canonical_edge("b", "a") == ("a", "b")
-    assert canonical_edge("a", "b") == ("a", "b")
+from mobgraph.graph import Graph
 
 
 def test_self_loop_rejected():
@@ -24,9 +19,10 @@ def test_nonpositive_weight_rejected():
 
 def test_edge_is_orientation_free():
     g = Graph()
-    g.add_edge("b", "a", 3.0)
-    assert g.has_edge("a", "b")
-    assert g.weight("a", "b") == 3.0
+    g.add_edge("a", "b", 1.0)
+    g.add_edge("b", "a", 3.0)  # re-added reversed: one edge, the new weight
+    assert g.has_edge("a", "b") and g.has_edge("b", "a")
+    assert g.weight("a", "b") == g.weight("b", "a") == 3.0
     assert g.n_edges == 1
     assert g.edges() == [("a", "b", 3.0)]
 
@@ -48,6 +44,17 @@ def test_degree_and_neighbors():
     assert g.degree("a") == 2
     assert g.neighbors("a") == {"b", "c"}
     assert g.degree("b") == 1
+
+
+def test_neighbors_is_a_read_only_live_view():
+    g = Graph()
+    g.add_edge("a", "b")
+    view = g.neighbors("a")
+    assert not hasattr(view, "add")
+    g.add_edge("a", "c")
+    assert view == {"b", "c"}
+    assert view & {"c", "d"} == {"c"}
+    assert sorted(view) == ["b", "c"]
 
 
 def test_random_graphs_consistent_degrees():
