@@ -363,16 +363,20 @@ class RunState:
     def close(self, kill: bool = False) -> None:
         """Shut the worker pool down: cancel the tasks not started, and wait
         for the workers to exit. The running tasks are waited for, unless
-        kill is set (a failed or interrupted run), which kills the workers."""
+        kill is set (a failed or interrupted run) and they are census tasks,
+        which can take minutes: then the workers are killed."""
         if self.pool is None:
             return
-        if kill:
+        # Every stage before start_census gathered all its results, so once
+        # it has run only census tasks can be running. Only those are safe
+        # to kill: a census, or its error, is about a kilobyte, sent in one
+        # atomic pipe write, while a worker killed partway through sending a
+        # larger result (a WL document) leaves the pool reading the rest for
+        # ever. The other tasks take seconds, and are waited for.
+        if kill and self.pending_censuses:
             processes = list((self.pool._processes or {}).values())
-            if hasattr(self.pool, "kill_workers"):  # Python 3.14
-                self.pool.kill_workers()
-            else:  # what kill_workers does
-                for process in processes:
-                    process.kill()
+            for process in processes:
+                process.kill()
             for process in processes:
                 process.join()
         self.pool.shutdown(wait=True, cancel_futures=True)

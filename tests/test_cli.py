@@ -1,3 +1,4 @@
+import contextlib
 import json
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import mobgraph
 from mobgraph import embed as embed_mod
+from mobgraph import gexf as gexf_mod
 from mobgraph import pipeline as pipeline_mod
 from mobgraph.cli import STEPS, _config, build_parser, main
 from mobgraph.errors import InvalidConfig, PipelineStageError
@@ -28,6 +30,7 @@ from mobgraph.pipeline import (
     run_pipeline,
     strip_timings,
 )
+from mobgraph.textio import open_text
 
 SYNTH_ARGS = ["--channels", "8", "--videos", "10", "--organic", "12"]
 
@@ -456,6 +459,87 @@ def test_workers_die_with_a_killed_parent(corpus_dir, tmp_path):
     for pid in survivors:
         os.kill(pid, signal.SIGKILL)
     assert survivors == []
+
+
+# Run by a child interpreter: a pipeline whose WL results are padded far past
+# what a pipe holds, and whose first one interrupts the run 10 ms into being
+# sent. A worker killed then would leave the pool reading the rest for ever.
+LARGE_RESULT_RUN = """
+import os, signal, sys, threading
+from mobgraph import pipeline
+from mobgraph.cli import main
+
+run_task = pipeline._run_task
+PADDING = bytes(32 << 20)
+
+class Interrupt:
+    def __reduce__(self):  # pickled after the padding, just before the send
+        try:
+            os.close(os.open(sys.argv[1], os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return int, ()
+        threading.Timer(0.01, os.kill, (os.getppid(), signal.SIGINT)).start()
+        return int, ()
+
+def padded_document_task(fn, channel, kwargs):
+    result = run_task(fn, channel, kwargs)
+    if fn.__name__ == "extract_document":
+        return result, PADDING, Interrupt()
+    return result
+
+pipeline._run_task = padded_document_task
+pipeline._usable_cpus = lambda: 2
+sys.exit(main(["pipeline", "--input", sys.argv[2], "--out", sys.argv[3],
+               "--threads", "2"]))
+"""
+
+
+def test_interrupt_while_a_worker_sends_a_large_result_ends(corpus_dir, tmp_path):
+    out = tmp_path / "run"
+    run = subprocess.Popen(
+        [sys.executable, "-c", LARGE_RESULT_RUN, str(tmp_path / "interrupted"),
+         str(corpus_dir / "comments.csv"), str(out)],
+        env=fresh_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        _, err = run.communicate(timeout=30)
+    finally:
+        run.kill()  # its workers die with it
+        run.wait()
+    assert (run.returncode, err) == (130, "error: interrupted\n")
+    assert files_under(out) == ["INCOMPLETE"]
+    assert (out / "INCOMPLETE").read_text() == "failed at stage: wl\ninterrupted\n"
+
+
+@contextlib.contextmanager
+def slow_open_text(target, mode="r"):
+    with open_text(target, mode) as sink:
+        with open(os.environ[TASK_LOG], "a", encoding="utf-8") as log:
+            log.write(f"{os.getpid()}\n")
+        time.sleep(0.5)
+        yield sink
+
+
+def test_interrupted_graphs_command_leaves_no_temp_files(corpus_dir, tmp_path, capsys,
+                                                        monkeypatch):
+    log = tmp_path / "writes.log"
+    monkeypatch.setenv(TASK_LOG, str(log))
+    monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(gexf_mod, "open_text", slow_open_text)
+
+    def interrupted_once_both_workers_write(pending):
+        deadline = time.monotonic() + 10
+        while not (log.exists() and len(log.read_text().split()) >= 2):
+            assert time.monotonic() < deadline, "the GEXF writes never started"
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline_mod, "_gather", interrupted_once_both_workers_write)
+    out = tmp_path / "graphs"
+    assert main(["graphs", "--input", str(corpus_dir / "comments.csv"),
+                 "--out", str(out), "--threads", "2"]) == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert [f for f in files_under(out) if not f.endswith(".gexf")] == []
+    assert multiprocessing.active_children() == []
 
 
 def interrupt(*args, **kwargs):
