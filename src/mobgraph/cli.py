@@ -11,7 +11,6 @@ import inspect
 import os
 import signal
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import embed as embed_mod
@@ -45,13 +44,11 @@ REPORT_KEYS = (
 # the config fields those steps read.
 STEPS = {
     "ingest": (pipeline.read_comments,),
-    "graphs": (pipeline.read_comments, pipeline.build_graphs, pipeline.write_graphs),
-    "embed": (pipeline.read_comments, pipeline.build_graphs,
-              pipeline.extract_documents, pipeline.embed_documents),
+    "graphs": (pipeline.read_comments, pipeline.write_graphs),
+    "embed": (pipeline.read_comments, pipeline.extract_documents, pipeline.embed_documents),
     "reduce": (pipeline.reduce_points,),
     "cluster": (pipeline.cluster_points,),
-    "cliques": (pipeline.read_comments, pipeline.build_graphs,
-                pipeline.start_census, pipeline.count_cliques),
+    "cliques": (pipeline.read_comments, pipeline.start_census, pipeline.count_cliques),
 }
 
 
@@ -172,10 +169,9 @@ def _run_steps(state: RunState, steps) -> None:
 def cmd_ingest(args: argparse.Namespace) -> int:
     state = RunState(_config(args))
     pipeline.read_comments(state, on_duplicate="error" if args.strict else "warn")
-    print(f"parsed {len(state.records)} records across {len(state.channels)} channels")
-    per_channel = Counter(r.channel_id for r in state.records)
+    print(f"parsed {len(state.records[None])} records across {len(state.channels)} channels")
     for c in state.channels:
-        print(f"  {c}: {per_channel[c]} comments")
+        print(f"  {c}: {len(state.records[c])} comments")
     return 0
 
 
@@ -185,9 +181,9 @@ def cmd_graphs(args: argparse.Namespace) -> int:
     if args.merged:
         state.channels = [None]  # one graph over the whole corpus
     _run_steps(state, STEPS["graphs"][1:])
-    for graph in state.graphs.values():
-        path = state.out_dir / f"{graph.name}.gexf"
-        print(f"{path}: {graph.n_nodes} nodes, {graph.n_edges} edges")
+    for name, stats in state.graph_stats.items():
+        path = state.out_dir / f"{name}.gexf"
+        print(f"{path}: {stats['nodes']} nodes, {stats['edges']} edges")
     return 0
 
 
@@ -320,10 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return args.func(args)
-    except MobgraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (MobgraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

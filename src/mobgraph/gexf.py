@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import xml.etree.ElementTree as ET
+from typing import IO, Iterable, Iterator
 
 from .errors import DirectedGraphUnsupported, MalformedGexf
 from .graph import Graph
@@ -29,40 +30,49 @@ def _format_weight(w: float) -> str:
     return repr(w)
 
 
-def _block(tag: str, children: list[str]) -> list[str]:
-    """A four-space-indented element around six-space-indented children."""
-    if not children:
-        return [f"    <{tag} />"]
-    return [f"    <{tag}>", *children, f"    </{tag}>"]
+def _write_block(out: IO[str], tag: str, empty: bool, children: Iterable[str]) -> None:
+    """A four-space-indented element around its children's lines."""
+    if empty:
+        out.write(f"    <{tag} />\n")
+        return
+    out.write(f"    <{tag}>\n")
+    out.writelines(children)
+    out.write(f"    </{tag}>\n")
+
+
+def _edge_lines(graph: Graph, ids: dict[str, str]) -> Iterator[str]:
+    """One string per node: the lines of its edges to later nodes, in
+    graph.edges() order; ids maps each node to its escaped id."""
+    idx = 0
+    for u, source in ids.items():
+        later = sorted(v for v in graph.neighbors(u) if v > u)
+        yield "".join(
+            f'      <edge id="{idx + i}" source="{source}" target="{ids[v]}" '
+            f'weight="{_format_weight(graph.weight(u, v))}" />\n'
+            for i, v in enumerate(later)
+        )
+        idx += len(later)
 
 
 def write_gexf(graph: Graph, sink: TextTarget) -> None:
     """Serialize an undirected weighted graph as GEXF 1.2, in the bytes that
     ElementTree writes after indent(); a path is replaced whole, never left
-    half written."""
+    half written. The edges are written node by node, so no more than one
+    node's lines are held at a time."""
     name = graph.name.translate(_TEXT_ESCAPES)
-    ids = (nid.translate(_ATTR_ESCAPES) for nid in graph.nodes())
-    nodes = [f'      <node id="{nid}" label="{nid}" />' for nid in ids]
-    edges = [
-        f'      <edge id="{idx}" source="{u.translate(_ATTR_ESCAPES)}" '
-        f'target="{v.translate(_ATTR_ESCAPES)}" weight="{_format_weight(w)}" />'
-        for idx, (u, v, w) in enumerate(graph.edges())
-    ]
-    lines = [
-        "<?xml version='1.0' encoding='utf-8'?>",
-        f'<gexf xmlns="{GEXF_XMLNS}" version="1.2">',
-        "  <meta>",
-        f"    <description>{name}</description>" if name else "    <description />",
-        "  </meta>",
-        '  <graph defaultedgetype="undirected" mode="static">',
-        *_block("nodes", nodes),
-        *_block("edges", edges),
-        "  </graph>",
-        "</gexf>",
-        "",
-    ]
+    description = f"<description>{name}</description>" if name else "<description />"
+    ids = {nid: nid.translate(_ATTR_ESCAPES) for nid in graph.nodes()}
     with open_text(sink, "w") as out:
-        out.write("\n".join(lines))
+        out.write(
+            "<?xml version='1.0' encoding='utf-8'?>\n"
+            f'<gexf xmlns="{GEXF_XMLNS}" version="1.2">\n'
+            f"  <meta>\n    {description}\n  </meta>\n"
+            '  <graph defaultedgetype="undirected" mode="static">\n'
+        )
+        _write_block(out, "nodes", not ids,
+                     (f'      <node id="{nid}" label="{nid}" />\n' for nid in ids.values()))
+        _write_block(out, "edges", graph.n_edges == 0, _edge_lines(graph, ids))
+        out.write("  </graph>\n</gexf>\n")
 
 
 def read_gexf(source: Source) -> Graph:

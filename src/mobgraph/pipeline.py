@@ -102,7 +102,8 @@ CHOICES = {"format": ("csv", "json-lines"), "cluster_space": ("reduced", "embedd
 # The least value of each integer setting that its stage can run with.
 LOWER_BOUNDS = {
     "threads": 1, "min_shared_videos": 1, "wl_iterations": 0, "dim": 1,
-    "min_count": 1, "umap_epochs": 1, "clique_min_size": 1, "n_init": 1,
+    "min_count": 1, "negative": 0, "umap_neighbors": 1, "umap_components": 1,
+    "umap_epochs": 1, "umap_negative_rate": 1, "clique_min_size": 1, "n_init": 1,
 }
 
 
@@ -137,6 +138,11 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
         value = getattr(config, key)
         if value < least:
             raise InvalidConfig(f"{key} must be >= {least}, got {value}")
+    if not 0 < config.umap_min_dist <= config.umap_spread:
+        raise InvalidConfig(
+            f"umap_min_dist must be > 0 and <= umap_spread, got umap_min_dist="
+            f"{config.umap_min_dist}, umap_spread={config.umap_spread}"
+        )
     return config
 
 
@@ -226,7 +232,7 @@ class _WarningCollector(logging.Handler):
 
 
 # The RunState of a worker process. Its pool's initializer sets it to the
-# parent's, inherited at fork with the graphs, so a task pickles nothing but
+# parent's, inherited at fork with the records, so a task pickles nothing but
 # a module-level function's name, a channel id and small keyword arguments.
 _worker_state: RunState | None = None
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
@@ -257,8 +263,20 @@ def _start_worker(state: RunState, parent: int) -> None:
     os.nice(10)
 
 
+def _run_channel(state: RunState, fn: Callable, channel: str | None, kwargs: dict) -> object:
+    """fn(graph, **kwargs) on the graph of one channel, built here from its
+    records; the graph is dropped once fn returns."""
+    config = state.config
+    graph = ingest_mod.build_co_commenter_graph(
+        state.records[channel], channel,
+        min_shared_videos=config.min_shared_videos,
+        include_isolated=config.include_isolated,
+    )
+    return fn(graph, **kwargs)
+
+
 def _run_task(fn: Callable, channel: str | None, kwargs: dict) -> object:
-    return fn(_worker_state.graphs[channel], **kwargs)
+    return _run_channel(_worker_state, fn, channel, kwargs)
 
 
 class _Deferred:
@@ -279,13 +297,14 @@ def _usable_cpus() -> int:
 
 def _map_channels(state: RunState, fn: Callable, **kwargs) -> list:
     """One pending result of fn(graph, **kwargs) per channel, in channel
-    order; `.result()` waits for it. fn is a module-level function, sent to
-    the run's workers by name (see RunState.workers). Without workers each
-    call runs here, when its result is read. Read in order, the results
-    raise the error of the first failing channel, as a serial run does."""
+    order; `.result()` waits for it. Each task builds its channel's graph.
+    fn is a module-level function, sent to the run's workers by name (see
+    RunState.workers). Without workers each call runs here, when its result
+    is read. Read in order, the results raise the error of the first failing
+    channel, as a serial run does."""
     pool = state.workers()
     if pool is None:
-        return [_Deferred(fn, state.graphs[c], **kwargs) for c in state.channels]
+        return [_Deferred(_run_channel, state, fn, c, kwargs) for c in state.channels]
     return [pool.submit(_run_task, fn, c, kwargs) for c in state.channels]
 
 
@@ -307,14 +326,15 @@ class RunState:
     """What the stages hand one another. Each stage reads the fields it
     needs and fills in the ones it makes; a CLI subcommand fills in its
     inputs from earlier artifacts instead. Artifacts are written to
-    config.out, GEXF files to graphs_dir."""
+    config.out, GEXF files to gexf_dir."""
 
     config: PipelineConfig
-    graphs_dir: Path | None = None  # None: config.out
-    records: list[ingest_mod.CommentRecord] = field(default_factory=list)
-    # A None channel stands for one graph over the whole corpus.
+    gexf_dir: Path | None = None  # None: config.out
+    # The records of each channel, in input order; None keys the whole
+    # corpus, and a None channel stands for one graph over all of it.
+    records: dict[str | None, list[ingest_mod.CommentRecord]] = field(default_factory=dict)
     channels: list[str | None] = field(default_factory=list)
-    graphs: dict[str | None, Graph] = field(default_factory=dict)
+    graph_stats: dict[str, dict[str, int]] = field(default_factory=dict)  # by graph name
     documents: list[wl_mod.GraphDocument] = field(default_factory=list)
     vocab: embed_mod.Vocabulary | None = None
     matrix: embed_mod.EmbeddingMatrix | None = None
@@ -342,7 +362,7 @@ class RunState:
         """The run's one pool of worker processes, or None when its channels
         run serially in this process: threads 1, one channel, one usable CPU,
         or no fork. The first call with threads > 1 forks up to that many
-        workers, so call it only once the graphs are built."""
+        workers, which inherit the records."""
         if self.pool is None:
             workers = min(self.config.threads, len(self.channels), _usable_cpus())
             if workers > 1:
@@ -351,7 +371,7 @@ class RunState:
                 if "fork" in multiprocessing.get_all_start_methods():
                     from concurrent.futures.process import ProcessPoolExecutor
 
-                    # fork, not spawn: a spawned worker would need the graphs
+                    # fork, not spawn: a spawned worker would need the records
                     # pickled to it. The only other threads at fork time are
                     # numpy's idle BLAS pool; the workers call no BLAS.
                     self.pool = ProcessPoolExecutor(
@@ -393,10 +413,13 @@ def read_comments(state: RunState, on_duplicate: str = "warn") -> None:
     config = state.config
     if config.input is None:
         raise InvalidConfig("no input file configured")
-    state.records = ingest_mod.parse_comments(
+    records = ingest_mod.parse_comments(
         config.input, format=config.format, on_duplicate=on_duplicate
     )
-    state.channels = ingest_mod.channels_in(state.records)
+    state.records = {None: records}
+    for record in records:
+        state.records.setdefault(record.channel_id, []).append(record)
+    state.channels = ingest_mod.channels_in(records)
 
 
 def check_corpus_size(state: RunState) -> None:
@@ -420,38 +443,20 @@ def check_corpus_size(state: RunState) -> None:
         ) from None
 
 
-def build_graphs(state: RunState) -> None:
-    """One graph per channel, built serially here: the run's workers, forked
-    by the first stage that uses them, inherit the graphs rather than
-    pickling them back."""
-    config = state.config
-    # One pass, input order kept; channel None is the whole corpus.
-    by_channel: dict[str | None, list[ingest_mod.CommentRecord]] = {None: state.records}
-    for record in state.records:
-        by_channel.setdefault(record.channel_id, []).append(record)
-    state.graphs = {
-        c: ingest_mod.build_co_commenter_graph(
-            by_channel.get(c, []), c,
-            min_shared_videos=config.min_shared_videos,
-            include_isolated=config.include_isolated,
-        )
-        for c in state.channels
-    }
-
-
 def _over_graphs(state: RunState, fn: Callable, **kwargs) -> list:
     """fn(graph, **kwargs) for every channel's graph, in channel order."""
     return _gather(_map_channels(state, fn, **kwargs))
 
 
-def _write_gexf(graph: Graph, directory: Path) -> None:
+def _write_gexf(graph: Graph, directory: Path) -> tuple[str, dict[str, int]]:
     gexf_mod.write_gexf(graph, directory / f"{graph.name}.gexf")
+    return graph.name, {"nodes": graph.n_nodes, "edges": graph.n_edges}
 
 
 def write_graphs(state: RunState) -> None:
-    directory = state.graphs_dir or state.out_dir
+    directory = state.gexf_dir or state.out_dir
     directory.mkdir(parents=True, exist_ok=True)
-    _over_graphs(state, _write_gexf, directory=directory)
+    state.graph_stats = dict(_over_graphs(state, _write_gexf, directory=directory))
 
 
 def extract_documents(state: RunState) -> None:
@@ -541,10 +546,7 @@ def write_report(state: RunState) -> None:
     state.report = {
         "channels": state.channels,
         "config": dataclasses.asdict(config),
-        "graph_stats": {
-            c: {"nodes": state.graphs[c].n_nodes, "edges": state.graphs[c].n_edges}
-            for c in state.channels
-        },
+        "graph_stats": state.graph_stats,
         "clustering": state.clustering,
         "reduce_info": state.reduce_info,
         "cliques": {
@@ -567,16 +569,17 @@ def write_report(state: RunState) -> None:
     write_json(state.report, state.out_dir / REPORT)
 
 
+# The fields every per-channel step reads, through _map_channels.
+_CHANNEL_FIELDS = ("threads", "min_shared_videos", "include_isolated")
 # The pipeline in run order: (stage name in report timings, step, the
 # PipelineConfig fields the step reads besides input and out). The CLI
 # builds each subcommand's flags from the fields of the steps it runs.
 STAGES: tuple[tuple[str, Callable[[RunState], None], tuple[str, ...]], ...] = (
     ("ingest", read_comments, ("format",)),
     ("ingest", check_corpus_size, ("umap_neighbors", "k_min", "k_max")),
-    ("graphs", build_graphs, ("min_shared_videos", "include_isolated")),
-    ("graphs", write_graphs, ("threads",)),
-    ("wl", extract_documents, ("threads", "wl_iterations", "wl_weight_buckets")),
-    ("cliques", start_census, ("threads", "clique_min_size", "clique_budget")),
+    ("graphs", write_graphs, _CHANNEL_FIELDS),
+    ("wl", extract_documents, (*_CHANNEL_FIELDS, "wl_iterations", "wl_weight_buckets")),
+    ("cliques", start_census, (*_CHANNEL_FIELDS, "clique_min_size", "clique_budget")),
     ("embed", embed_documents, ("seed", "dim", "lr", "min_count", "epochs", "negative")),
     ("reduce", reduce_points, (
         "seed", "umap_neighbors", "umap_min_dist", "umap_components",
@@ -616,7 +619,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     collector = _WarningCollector()
     root = logging.getLogger("mobgraph")
     root.addHandler(collector)
-    state = RunState(config, graphs_dir=out_dir / GRAPHS_DIR, warnings=collector.messages)
+    state = RunState(config, gexf_dir=out_dir / GRAPHS_DIR, warnings=collector.messages)
     stage = STAGES[0][0]
     try:
         with state:  # the workers are gone before any cleanup below

@@ -127,15 +127,23 @@ def write_id_table(graph_ids, rows: np.ndarray, prefix: str, sink: TextTarget) -
 
 
 def read_id_table(source: TextTarget, what: str) -> tuple[list[str], np.ndarray]:
-    """Read a write_id_table CSV back; `what` names it in the error."""
+    """Read a write_id_table CSV back. Anything else is a MobgraphError
+    naming the file (`what` CSV when source is not a path) and the line."""
+    name = source if isinstance(source, (str, Path)) else f"{what} CSV"
     with open_text(source) as stream:
         reader = csv.reader(stream)
-        header = next(reader)
-        if not header or header[0] != "graph_id":
-            raise ValueError(f"{what} CSV must start with a graph_id column")
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        for row in reader:
-            ids.append(row[0])
-            rows.append([float(x) for x in row[1:]])
-    return ids, np.array(rows, dtype=np.float64)
+        try:
+            header = next(reader, None)
+            if not header or header[0] != "graph_id":
+                raise MobgraphError(f"{name}: line 1: expected a header starting with graph_id")
+            ids: list[str] = []
+            rows: list[list[float]] = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise MobgraphError(f"{name}: line {reader.line_num}: expected "
+                                        f"{len(header)} fields, got {len(row)}")
+                rows.append([float(x) for x in row[1:]])
+                ids.append(row[0])
+        except (csv.Error, ValueError) as exc:  # the reader's own errors; float()'s
+            raise MobgraphError(f"{name}: line {reader.line_num}: {exc}") from None
+    return ids, np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)

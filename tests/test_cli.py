@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import json
 import multiprocessing
 import os
@@ -17,7 +18,7 @@ from mobgraph import gexf as gexf_mod
 from mobgraph import pipeline as pipeline_mod
 from mobgraph.cli import STEPS, _config, build_parser, main
 from mobgraph.errors import InvalidConfig, PipelineStageError
-from mobgraph.graph import Graph
+from mobgraph.ingest import CommentRecord
 from mobgraph.pipeline import (
     CONFIG_FIELDS,
     PipelineConfig,
@@ -195,9 +196,11 @@ def test_budget_failure_is_the_same_with_worker_processes(corpus_dir, tmp_path, 
 
 
 def channel_state(channels, threads):
-    """A RunState over one empty graph per channel, named after it."""
+    """A RunState over one comment per channel, so that each channel's task
+    gets an edgeless graph named after it."""
+    records = {c: [CommentRecord(c, "v", "u", f"{c}-1")] for c in channels}
     return RunState(PipelineConfig(threads=threads), channels=list(channels),
-                    graphs={c: Graph(c) for c in channels})
+                    records={None: [r for rs in records.values() for r in rs], **records})
 
 
 # Channel tasks: module-level, as the workers get them by name.
@@ -744,6 +747,14 @@ def test_ingest_summary(corpus_dir, capsys):
     assert "ch00:" in out
 
 
+def assert_printed_counts_match_files(printed):
+    """Each line `<path>: <n> nodes, <m> edges` agrees with the GEXF at path."""
+    for line in printed.splitlines():
+        path, counts = line.split(": ")
+        graph = gexf_mod.read_gexf(path)
+        assert counts == f"{graph.n_nodes} nodes, {graph.n_edges} edges"
+
+
 def test_graphs_command(corpus_dir, tmp_path, capsys):
     out = tmp_path / "graphs"
     code = main(["graphs", "--input", str(corpus_dir / "comments.csv"),
@@ -752,11 +763,19 @@ def test_graphs_command(corpus_dir, tmp_path, capsys):
     assert sorted(p.name for p in out.glob("*.gexf")) == [
         f"ch{c:02d}.gexf" for c in range(8)
     ]
+    printed = capsys.readouterr().out
+    assert [line.split(": ")[0] for line in printed.splitlines()] == [
+        str(out / f"ch{c:02d}.gexf") for c in range(8)
+    ]
+    assert_printed_counts_match_files(printed)
     merged_out = tmp_path / "merged"
     code = main(["graphs", "--input", str(corpus_dir / "comments.csv"),
                  "--out", str(merged_out), "--merged"])
     assert code == 0
     assert [p.name for p in merged_out.glob("*.gexf")] == ["merged.gexf"]
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"{merged_out / 'merged.gexf'}: ")
+    assert_printed_counts_match_files(printed)
 
 
 def assert_chain_matches(comments, pipeline_out, out, extra=()):
@@ -992,7 +1011,8 @@ def test_report_rejects_channels_and_rows_of_wrong_shape(pipeline_out, tmp_path,
 @pytest.mark.parametrize("flag,value", [
     ("threads", 0), ("dim", 0), ("n_init", 0), ("min_count", 0),
     ("min_shared_videos", 0), ("umap_epochs", 0), ("clique_min_size", 0),
-    ("wl_iterations", -1),
+    ("wl_iterations", -1), ("negative", -1), ("umap_neighbors", 0),
+    ("umap_components", 0), ("umap_negative_rate", 0),
 ])
 def test_setting_below_its_bound_fails_before_ingest(tmp_path, capsys, flag, value):
     out = tmp_path / "run"
@@ -1002,6 +1022,51 @@ def test_setting_below_its_bound_fails_before_ingest(tmp_path, capsys, flag, val
     assert capsys.readouterr().err.startswith(f"error: invalid config: {flag} must be >= {value + 1}")
     assert not out.exists()
     resolve_config({}, {flag: value + 1})  # the bound itself is allowed
+
+
+@pytest.mark.parametrize("flags", [
+    ["--umap-min-dist", "0"], ["--umap-min-dist", "2.0"], ["--umap-spread", "-1"],
+    ["--umap-min-dist", "0.5", "--umap-spread", "0.4"],
+])
+def test_min_dist_outside_zero_to_spread_fails_before_ingest(tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--input", str(tmp_path / "never-read.csv"),
+                 "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: invalid config: umap_min_dist must be > 0 and <= umap_spread, got ")
+    assert not out.exists()
+    resolve_config({}, {"umap_min_dist": 0.5, "umap_spread": 0.5})  # equal is allowed
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: expected a header starting with graph_id"),
+    ("id,e0\nch00,1.0\n", "line 1: expected a header starting with graph_id"),
+    ("graph_id,e0,e1\nch00,1.0,x\n", "line 2: could not convert string to float: 'x'"),
+    ("graph_id,e0,e1\nch00,1.0,2.0\nch01,1.0\n", "line 3: expected 3 fields, got 2"),
+    (f"graph_id,e0\nch00,{'1' * (csv.field_size_limit() + 1)}\n",
+     f"line 2: field larger than field limit ({csv.field_size_limit()})"),
+], ids=["empty", "no graph_id", "not a number", "short row", "field over the csv limit"])
+@pytest.mark.parametrize("command", ["reduce", "cluster"])
+def test_malformed_id_table_is_one_error_line(tmp_path, capsys, command, text, message):
+    bad = tmp_path / "table.csv"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--input", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert files_under(out) == []
+
+
+@pytest.mark.parametrize("command", ["pipeline", "graphs", "reduce"])
+def test_out_naming_a_file_is_one_error_line(corpus_dir, pipeline_out, tmp_path, capsys,
+                                             command):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    source = pipeline_out / "embeddings.csv" if command == "reduce" else corpus_dir / "comments.csv"
+    assert main([command, "--input", str(source), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(taken) in err
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_report_command_missing_file(tmp_path, capsys):

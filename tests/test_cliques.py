@@ -240,13 +240,13 @@ def test_count_cliques_same_census_for_one_and_two_threads(tmp_path):
     records, _ = synth.generate_corpus(synth.two_family_config(
         n_channels=6, videos_per_channel=15, organic_commenters=30))
     channels = sorted({r.channel_id for r in records})
-    graphs = {c: build_co_commenter_graph(records, c) for c in channels}
+    by_channel = {c: [r for r in records if r.channel_id == c] for c in channels}
     censuses = {}
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"
         out.mkdir()
-        with RunState(PipelineConfig(out=str(out), threads=threads),
-                      channels=channels, graphs=graphs) as state:
+        with RunState(PipelineConfig(out=str(out), threads=threads), channels=channels,
+                      records={None: records, **by_channel}) as state:
             start_census(state)
             count_cliques(state)
         assert [c.channel_id for c in state.censuses] == channels
@@ -254,7 +254,8 @@ def test_count_cliques_same_census_for_one_and_two_threads(tmp_path):
     assert censuses[1] == censuses[2]
     assert any(census.count for census in censuses[1][0])
     for census in censuses[1][0]:
-        expected = sum(1 for _ in reference_maximal_cliques(graphs[census.channel_id]))
+        graph = build_co_commenter_graph(records, census.channel_id)
+        expected = sum(1 for _ in reference_maximal_cliques(graph))
         assert sum(census.histogram.values()) == expected
 
 
