@@ -433,6 +433,12 @@ def check_corpus_size(state: RunState) -> None:
             f"{n} channels is too few for umap_neighbors={config.umap_neighbors}; "
             f"reduce needs more channels than neighbours"
         )
+    check_k_range(n, config)
+
+
+def check_k_range(n: int, config: PipelineConfig) -> None:
+    """InvalidConfig, explaining the k range, when n channels leave model
+    selection no k to try."""
     try:
         cluster_mod.k_range(n, config.k_min, config.k_max)
     except InvalidK:
@@ -503,6 +509,7 @@ def reduce_points(state: RunState) -> None:
 
 def cluster_points(state: RunState) -> None:
     config = state.config
+    check_k_range(len(state.channels), config)
     points = state.coords if config.cluster_space == "reduced" else state.matrix.vectors
     state.clustering = compute_clustering(
         points,

@@ -16,6 +16,7 @@ import csv
 import fnmatch
 import io
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -127,8 +128,9 @@ def write_id_table(graph_ids, rows: np.ndarray, prefix: str, sink: TextTarget) -
 
 
 def read_id_table(source: TextTarget, what: str) -> tuple[list[str], np.ndarray]:
-    """Read a write_id_table CSV back. Anything else is a MobgraphError
-    naming the file (`what` CSV when source is not a path) and the line."""
+    """Read a write_id_table CSV back. Anything else, a cell that is not a
+    finite number included, is a MobgraphError naming the file (`what` CSV
+    when source is not a path) and the line."""
     name = source if isinstance(source, (str, Path)) else f"{what} CSV"
     with open_text(source) as stream:
         reader = csv.reader(stream)
@@ -142,7 +144,12 @@ def read_id_table(source: TextTarget, what: str) -> tuple[list[str], np.ndarray]
                 if len(row) != len(header):
                     raise MobgraphError(f"{name}: line {reader.line_num}: expected "
                                         f"{len(header)} fields, got {len(row)}")
-                rows.append([float(x) for x in row[1:]])
+                values = [float(x) for x in row[1:]]
+                for cell, value in zip(row[1:], values):
+                    if not math.isfinite(value):
+                        raise MobgraphError(f"{name}: line {reader.line_num}: "
+                                            f"{cell!r} is not a finite number")
+                rows.append(values)
                 ids.append(row[0])
         except (csv.Error, ValueError) as exc:  # the reader's own errors; float()'s
             raise MobgraphError(f"{name}: line {reader.line_num}: {exc}") from None

@@ -4,12 +4,22 @@ Each node starts labeled by its degree; every iteration replaces a node's
 label with a hash of its own label and the sorted labels of its neighbors.
 The tokens of iterations 0..h, nodes in sorted-id order within an iteration,
 form the graph's document.
+
+A round hashes every node at once. FNV-1a over a byte chunk c, started from
+any 64-bit state h, equals h * P**len(c) + T_c[h & 255] (mod 2**64): XOR
+with a byte touches only the low 8 bits of the state, and P is odd, so the
+low byte of every later state depends only on the low byte of h. One
+256-entry table per distinct neighbor label then folds a whole label into
+the states of all nodes in one numpy step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .graph import Graph
 
@@ -17,6 +27,14 @@ from .graph import Graph
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# The same constants as uint64 operands: numpy 1.x turns uint64 mixed with
+# a signed integer into float64.
+_OFFSET64 = np.uint64(_FNV_OFFSET)
+_PRIME64 = np.uint64(_FNV_PRIME)
+_LOW_BYTE = np.uint64(0xFF)
+_COMMA = np.uint64(ord(","))
+_ALL_LOW_BYTES = np.arange(256, dtype=np.uint64)
 
 
 def fnv1a64(text: str) -> str:
@@ -43,6 +61,147 @@ def _weight_bucket(weight: float) -> int:
     return int(math.floor(math.log2(weight)))
 
 
+def _length_groups(texts: list[str]):
+    """(positions, bytes) for each UTF-8 length, shortest first: where the
+    texts of that length sit in texts, and their bytes as a uint64 matrix
+    with one row per text."""
+    chunks = [t.encode("utf-8") for t in texts]
+    positions: dict[int, list[int]] = {}
+    for i, chunk in enumerate(chunks):
+        positions.setdefault(len(chunk), []).append(i)
+    for width, where in sorted(positions.items()):
+        text = np.frombuffer(b"".join([chunks[i] for i in where]), dtype=np.uint8)
+        yield where, text.reshape(len(where), width).astype(np.uint64)
+
+
+def _fold(states: np.ndarray, text: np.ndarray) -> None:
+    """FNV-1a over row i of text from every state in row i, in place."""
+    for j in range(text.shape[1]):
+        states ^= text[:, j, None]
+        states *= _PRIME64
+
+
+def _part_tables(parts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One row per part p: the table T_p[L] = FNV_p(L) - L * P**len(p) for
+    every low byte L, and the power P**len(p). Rows run shortest part
+    first, so each length fills its rows in place; row_of_rank maps a part's
+    position in parts to its row."""
+    tables = np.empty((len(parts), 256), dtype=np.uint64)
+    powers = np.empty(len(parts), dtype=np.uint64)
+    row_of_rank = np.empty(len(parts), dtype=np.int32)
+    row = 0
+    for where, text in _length_groups(parts):
+        rows = slice(row, row + len(where))
+        tables[rows] = _ALL_LOW_BYTES
+        _fold(tables[rows], text)
+        powers[rows] = power = np.uint64(pow(_FNV_PRIME, text.shape[1], 1 << 64))
+        tables[rows] -= _ALL_LOW_BYTES * power
+        row_of_rank[where] = np.arange(rows.start, rows.stop, dtype=np.int32)
+        row = rows.stop
+    return tables, powers, row_of_rank
+
+
+def _prefix_states(labels: list[str]) -> np.ndarray:
+    """The FNV-1a state after label + "|", for each label."""
+    states = np.empty(len(labels), dtype=np.uint64)
+    for where, text in _length_groups([f"{label}|" for label in labels]):
+        group = np.full((len(where), 1), _OFFSET64, dtype=np.uint64)
+        _fold(group, text)
+        states[where] = group[:, 0]
+    return states
+
+
+class _NeighbourIndex:
+    """The graph's adjacency as flat int32 rows, built once per document.
+
+    Rows run in order of descending degree (ties by node id), so the nodes
+    with more than k neighbours are always a prefix of that order."""
+
+    def __init__(self, graph: Graph, weight_buckets: bool):
+        self.nodes = graph.nodes()
+        position = {u: i for i, u in enumerate(self.nodes)}
+        degrees = np.fromiter(map(graph.degree, self.nodes), np.int64, len(self.nodes))
+        self.order = np.argsort(-degrees, kind="stable")
+        self.degrees = degrees[self.order]
+        self.starts = np.zeros(len(self.nodes), dtype=np.int64)
+        np.cumsum(self.degrees[:-1], out=self.starts[1:])
+        # folding[k]: how many nodes have more than k neighbours
+        max_degree = int(self.degrees[0]) if len(self.nodes) else 0
+        self.folding = np.searchsorted(-self.degrees, -np.arange(max_degree), "left")
+        ordered = [self.nodes[i] for i in self.order.tolist()]
+        n_slots = int(self.degrees.sum())
+        self.neighbours = np.fromiter(
+            map(position.__getitem__, chain.from_iterable(map(graph.neighbors, ordered))),
+            np.int32, n_slots,
+        )
+        self.buckets: list[int] = []
+        self.bucket_of_slot = None
+        if weight_buckets:
+            weights = np.fromiter(
+                (graph.weight(v, u) for v in ordered for u in graph.neighbors(v)),
+                np.float64, n_slots,
+            )
+            distinct, weight_of_slot = np.unique(weights, return_inverse=True)
+            of_weight = [_weight_bucket(w) for w in distinct.tolist()]
+            self.buckets = sorted(set(of_weight))
+            index = {b: i for i, b in enumerate(self.buckets)}
+            bucket_of_weight = np.array([index[b] for b in of_weight], dtype=np.int64)
+            self.bucket_of_slot = bucket_of_weight[weight_of_slot.reshape(-1)]
+
+    def _slot_parts(
+        self, label_rank: np.ndarray, labels: list[str]
+    ) -> tuple[np.ndarray, list[str]]:
+        """Each slot's rank among the round's distinct neighbour parts, and
+        those parts in sorted order. labels are the distinct labels, sorted,
+        and label_rank each node's position among them."""
+        slot_rank = label_rank[self.neighbours]
+        if self.bucket_of_slot is None:
+            return slot_rank, labels
+        n_buckets = len(self.buckets)
+        codes, slot_code = np.unique(
+            slot_rank.astype(np.int64) * n_buckets + self.bucket_of_slot, return_inverse=True
+        )
+        parts = [f"{labels[c // n_buckets]}~{self.buckets[c % n_buckets]}"
+                 for c in codes.tolist()]
+        order = sorted(range(len(parts)), key=parts.__getitem__)
+        rank_of_code = np.empty(len(parts), dtype=np.int32)
+        rank_of_code[order] = np.arange(len(parts), dtype=np.int32)
+        return rank_of_code[slot_code.reshape(-1)], [parts[i] for i in order]
+
+    def _sort_rows(self, slot_rank: np.ndarray) -> None:
+        """Sort every node's row in place: rows of one degree sit side by
+        side, so each degree is one 2-D sort."""
+        firsts = np.flatnonzero(np.diff(self.degrees, prepend=-1, append=-1)).tolist()
+        for first, stop in zip(firsts, firsts[1:]):
+            degree = int(self.degrees[first])
+            start = int(self.starts[first])
+            if degree > 1:
+                slot_rank[start:start + (stop - first) * degree].reshape(-1, degree).sort(axis=1)
+
+    def refine(self, labels: list[str]) -> list[str]:
+        """One WL round over labels in node order, returning the new ones."""
+        distinct = sorted(set(labels))
+        rank = {label: i for i, label in enumerate(distinct)}
+        label_rank = np.fromiter(map(rank.__getitem__, labels), np.int32, len(labels))
+        slot_rank, parts = self._slot_parts(label_rank, distinct)
+        self._sort_rows(slot_rank)
+        tables, powers, row_of_rank = _part_tables(parts)
+
+        state = _prefix_states(distinct)[label_rank[self.order]]
+        for k, count in enumerate(self.folding.tolist()):
+            h = state[:count]
+            if k:
+                h ^= _COMMA
+                h *= _PRIME64
+            rows = row_of_rank[slot_rank[self.starts[:count] + k]]
+            low = h & _LOW_BYTE
+            h *= powers[rows]
+            h += tables[rows, low]
+        hashes = np.empty_like(state)
+        hashes[self.order] = state
+        return [f"{h:016x}" for h in hashes.tolist()]
+
+
 def wl_iteration(
     graph: Graph, labels: dict[str, str], weight_buckets: bool = False
 ) -> dict[str, str]:
@@ -51,17 +210,8 @@ def wl_iteration(
     weight_buckets appends a log2 bucket of the edge weight to each neighbor
     label before sorting, so weights can enter the refinement when wanted.
     """
-    new_labels: dict[str, str] = {}
-    for v in graph.nodes():
-        if weight_buckets:
-            parts = sorted(
-                f"{labels[u]}~{_weight_bucket(graph.weight(v, u))}"
-                for u in graph.neighbors(v)
-            )
-        else:
-            parts = sorted(labels[u] for u in graph.neighbors(v))
-        new_labels[v] = fnv1a64(labels[v] + "|" + ",".join(parts))
-    return new_labels
+    index = _NeighbourIndex(graph, weight_buckets)
+    return dict(zip(index.nodes, index.refine([labels[u] for u in index.nodes])))
 
 
 def extract_document(
@@ -74,10 +224,11 @@ def extract_document(
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    nodes = graph.nodes()
-    labels = initial_labels(graph)
-    tokens = [f"0_{labels[v]}" for v in nodes]
+    index = _NeighbourIndex(graph, weight_buckets)
+    seed = initial_labels(graph)
+    labels = [seed[v] for v in index.nodes]
+    tokens = [f"0_{label}" for label in labels]
     for t in range(1, iterations + 1):
-        labels = wl_iteration(graph, labels, weight_buckets=weight_buckets)
-        tokens.extend(f"{t}_{labels[v]}" for v in nodes)
+        labels = index.refine(labels)
+        tokens.extend(f"{t}_{label}" for label in labels)
     return GraphDocument(graph_id=graph.name, tokens=tokens)

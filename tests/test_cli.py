@@ -1056,6 +1056,37 @@ def test_malformed_id_table_is_one_error_line(tmp_path, capsys, command, text, m
     assert files_under(out) == []
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+@pytest.mark.parametrize("artifact, command", [("embeddings.csv", "reduce"),
+                                               ("reduced.csv", "cluster")])
+def test_non_finite_cell_is_one_error_line(pipeline_out, tmp_path, capsys, artifact, command,
+                                           cell):
+    lines = (pipeline_out / artifact).read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[2].split(",")
+    fields[1] = cell
+    lines[2] = ",".join(fields)
+    bad = tmp_path / artifact
+    bad.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--input", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: line 3: {cell!r} is not a finite number\n"
+    assert files_under(out) == []
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+def test_cluster_on_too_few_rows_explains_the_k_range(pipeline_out, tmp_path, capsys, rows):
+    lines = (pipeline_out / "reduced.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    table = tmp_path / "reduced.csv"
+    table.write_text("".join(lines[:1 + rows]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["cluster", "--input", str(table), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid config: {rows} channels leave no k to select with k_min=2, "
+        f"k_max=None (k_min must be >= 2; k_max defaults to min(10, channels - 1))\n")
+    assert files_under(out) == []
+
+
 @pytest.mark.parametrize("command", ["pipeline", "graphs", "reduce"])
 def test_out_naming_a_file_is_one_error_line(corpus_dir, pipeline_out, tmp_path, capsys,
                                              command):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,9 @@ import pytest
 from conftest import permuted_copy, random_graph
 from mobgraph.graph import Graph
 from mobgraph.wl import (
+    _FNV_PRIME,
+    _MASK64,
+    _part_tables,
     extract_document,
     fnv1a64,
     initial_labels,
@@ -35,6 +39,32 @@ def test_fnv1a64_reference_vectors():
     assert fnv1a64("") == "cbf29ce484222325"
     assert fnv1a64("a") == "af63dc4c8601ec8c"
     assert fnv1a64("foobar") == "85944171f73967e8"
+
+
+def fnv1a64_from(state: int, data: bytes) -> int:
+    for byte in data:
+        state = ((state ^ byte) * _FNV_PRIME) & _MASK64
+    return state
+
+
+def test_part_table_folds_a_chunk_from_any_state():
+    # FNV-1a over chunk c from state h == h * P**len(c) + T_c[h & 255]
+    rng = np.random.default_rng(61)
+    chunks = ["", "0", "7", "|", "~-3", "héllo", "0123456789abcdef", "fedcba9876543210~2"]
+    chunks += ["".join(rng.choice(list("0123456789abcdef~,|-"), int(rng.integers(1, 25))))
+               for _ in range(40)]
+    tables, powers, row_of_rank = _part_tables(chunks)
+    assert tables.dtype == powers.dtype == np.uint64
+    for rank, chunk in enumerate(chunks):
+        data = chunk.encode("utf-8")
+        row = row_of_rank[rank]
+        table, power = tables[row].tolist(), int(powers[row])
+        assert power == pow(_FNV_PRIME, len(data), 1 << 64)
+        for high in rng.integers(0, 1 << 56, size=3, dtype=np.uint64).tolist():
+            for low in range(256):
+                h = (high << 8) | low
+                folded = (h * power + table[low]) & _MASK64
+                assert folded == fnv1a64_from(h, data)
 
 
 # --- initial labels -------------------------------------------------------------
@@ -119,6 +149,69 @@ def test_weight_buckets_distinguish_heavy_edges():
     bl = wl_iteration(light, initial_labels(light), weight_buckets=True)
     bh = wl_iteration(heavy, initial_labels(heavy), weight_buckets=True)
     assert bl["a"] != bh["a"]
+
+
+def reference_wl_iteration(graph, labels, weight_buckets=False):
+    """The per-byte, string-join round the vectorised one must match."""
+    new_labels = {}
+    for v in graph.nodes():
+        if weight_buckets:
+            parts = sorted(
+                f"{labels[u]}~{int(math.floor(math.log2(graph.weight(v, u))))}"
+                for u in graph.neighbors(v)
+            )
+        else:
+            parts = sorted(labels[u] for u in graph.neighbors(v))
+        new_labels[v] = fnv1a64(labels[v] + "|" + ",".join(parts))
+    return new_labels
+
+
+def reference_document(graph, iterations, weight_buckets):
+    nodes = graph.nodes()
+    labels = initial_labels(graph)
+    tokens = [f"0_{labels[v]}" for v in nodes]
+    for t in range(1, iterations + 1):
+        labels = reference_wl_iteration(graph, labels, weight_buckets)
+        tokens.extend(f"{t}_{labels[v]}" for v in nodes)
+    return tokens
+
+
+def edge_cases():
+    empty = Graph("empty")
+    single = Graph("single")
+    single.add_node("only")
+    isolated = path_graph("A", "B", "C", "D")
+    isolated.add_node("Z")
+    mixed = Graph("mixed")  # fractional weights, some exactly on a power of two
+    for i, w in enumerate([0.25, 0.3, 1.0, 1.9999, 2.0, 3.5, 1024.0, 1e-9]):
+        mixed.add_edge(f"m{i}", f"m{(i * 3 + 1) % 8}", w)
+    return [empty, single, isolated, triangle(), mixed]
+
+
+def test_documents_match_the_per_byte_reference():
+    rng = np.random.default_rng(67)
+    graphs = edge_cases()
+    for _ in range(200):
+        n = int(rng.integers(0, 30))
+        graphs.append(random_graph(rng, n, float(rng.random()),
+                                   max_weight=int(rng.integers(1, 12))))
+    for g in graphs:
+        for weight_buckets in (False, True):
+            for h in (0, 1, 2, 3):
+                doc = extract_document(g, h, weight_buckets)
+                assert doc.tokens == reference_document(g, h, weight_buckets)
+
+
+def test_iteration_matches_the_reference_on_any_labels():
+    # labels of mixed lengths, empty and non-ASCII ones included
+    rng = np.random.default_rng(71)
+    pool = ["", "a", "ab", "é", "日本", "9", "10", "zz~", "0123456789abcdef"]
+    for _ in range(30):
+        g = random_graph(rng, int(rng.integers(1, 25)), 0.4, max_weight=9)
+        labels = {u: str(rng.choice(pool)) for u in g.nodes()}
+        for weight_buckets in (False, True):
+            assert wl_iteration(g, labels, weight_buckets) == reference_wl_iteration(
+                g, labels, weight_buckets)
 
 
 # --- documents --------------------------------------------------------------------
