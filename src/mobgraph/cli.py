@@ -58,15 +58,9 @@ def add_config_flags(parser: argparse.ArgumentParser, names) -> None:
     the config file or the field default in force."""
     parser.add_argument("--config", default=None, help="JSON config file")
     for name in names:
-        spec = CONFIG_FIELDS[name]
-        flag = "--" + name.replace("_", "-")
-        if FIELD_TYPES[name] is bool:
-            parser.add_argument(flag, action=argparse.BooleanOptionalAction,
-                                default=None, help=f"default: {spec.default}")
-        else:
-            parser.add_argument(flag, type=FIELD_TYPES[name],
-                                choices=CHOICES.get(name), default=None,
-                                help=f"default: {spec.default}")
+        parser.add_argument("--" + name.replace("_", "-"), type=FIELD_TYPES[name],
+                            choices=CHOICES.get(name), default=None,
+                            help=f"default: {CONFIG_FIELDS[name].default}")
 
 
 def _add_stage(sub, name: str, func, help: str, input_help: str | None = None):
@@ -116,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stage(sub, "reduce", cmd_reduce, "embeddings.csv -> reduced.csv",
                input_help="embeddings CSV path")
     _add_stage(sub, "cluster", cmd_cluster, "reduced.csv -> cluster.json + dendrogram.json",
-               input_help="reduced CSV path (embeddings CSV with --cluster-space embeddings)")
+               input_help="reduced CSV path")
 
     p = _add_stage(sub, "cliques", cmd_cliques, "comment table -> cliques.csv census")
     p.add_argument("--report", default=None,
@@ -209,11 +203,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     state = _state(args)
-    if state.config.cluster_space == "reduced":
-        state.channels, state.coords = reduce_mod.read_reduced_csv(args.artifact)
-    else:
-        state.matrix = embed_mod.read_embeddings_csv(args.artifact)
-        state.channels = state.matrix.graph_ids
+    state.channels, state.coords = reduce_mod.read_reduced_csv(args.artifact)
     pipeline.cluster_points(state)
     clustering = state.clustering
     write_json(clustering, state.out_dir / "cluster.json")

@@ -177,14 +177,13 @@ def build_co_commenter_graph(
     records: Iterable[CommentRecord],
     channel: str | None,
     min_shared_videos: int = 1,
-    include_isolated: bool = False,
 ) -> Graph:
     """Build the weighted co-commenter graph for one channel.
 
     channel=None merges the whole corpus into a single graph (cross-channel
     edges included). Multiple comments by one commenter on one video count
-    once. Edges below min_shared_videos are dropped; commenters left without
-    a retained edge appear only when include_isolated is set.
+    once. Edges below min_shared_videos are dropped, and a commenter left
+    without a retained edge is not a node.
     """
     if min_shared_videos < 1:
         raise ValueError(f"min_shared_videos must be >= 1, got {min_shared_videos}")
@@ -210,10 +209,6 @@ def build_co_commenter_graph(
                 row[v] = row.get(v, 0) + 1
 
     graph = Graph(name)
-    if include_isolated:
-        for commenters in commenters_by_video.values():
-            for u in commenters:
-                graph.add_node(u)
     for u, row in shared.items():
         for v, count in row.items():
             if count >= min_shared_videos:

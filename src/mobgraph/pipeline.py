@@ -72,9 +72,7 @@ class PipelineConfig:
     seed: int = 0
     threads: int = 1
     min_shared_videos: int = 1
-    include_isolated: bool = False
     wl_iterations: int = 2
-    wl_weight_buckets: bool = False
     dim: int = 128
     lr: float = 0.025
     min_count: int = 5
@@ -88,7 +86,6 @@ class PipelineConfig:
     umap_negative_rate: int = 5
     k_min: int = 2
     k_max: int | None = None  # None: min(10, n_channels - 1)
-    cluster_space: str = "reduced"  # or "embeddings", for ablation
     clique_min_size: int = 5
     clique_budget: int = cliques_mod.DEFAULT_CLIQUE_BUDGET
     n_init: int = 10
@@ -96,9 +93,9 @@ class PipelineConfig:
 
 CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
 # The type of each field's values, from its annotation; None means "not set".
-_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
+_TYPES = {"int": int, "float": float, "str": str}
 FIELD_TYPES = {name: _TYPES[f.type.split(" | ")[0]] for name, f in CONFIG_FIELDS.items()}
-CHOICES = {"format": ("csv", "json-lines"), "cluster_space": ("reduced", "embeddings")}
+CHOICES = {"format": ("csv", "json-lines")}
 # The least value of each integer setting that its stage can run with.
 LOWER_BOUNDS = {
     "threads": 1, "min_shared_videos": 1, "wl_iterations": 0, "dim": 1,
@@ -270,7 +267,6 @@ def _run_channel(state: RunState, fn: Callable, channel: str | None, kwargs: dic
     graph = ingest_mod.build_co_commenter_graph(
         state.records[channel], channel,
         min_shared_videos=config.min_shared_videos,
-        include_isolated=config.include_isolated,
     )
     return fn(graph, **kwargs)
 
@@ -426,14 +422,18 @@ def check_corpus_size(state: RunState) -> None:
     """Fail before any graph is built when the corpus has too few channels
     for the reduce or cluster settings, instead of after the expensive
     stages have run and written their artifacts."""
-    config = state.config
     n = len(state.channels)
+    check_umap_neighbors(n, state.config)
+    check_k_range(n, state.config)
+
+
+def check_umap_neighbors(n: int, config: PipelineConfig) -> None:
+    """InvalidConfig when n channels are too few for the reduce neighbours."""
     if n <= config.umap_neighbors:
         raise InvalidConfig(
             f"{n} channels is too few for umap_neighbors={config.umap_neighbors}; "
             f"reduce needs more channels than neighbours"
         )
-    check_k_range(n, config)
 
 
 def check_k_range(n: int, config: PipelineConfig) -> None:
@@ -468,10 +468,7 @@ def write_graphs(state: RunState) -> None:
 def extract_documents(state: RunState) -> None:
     config = state.config
     state.documents = _over_graphs(
-        state,
-        wl_mod.extract_document,
-        iterations=config.wl_iterations,
-        weight_buckets=config.wl_weight_buckets,
+        state, wl_mod.extract_document, iterations=config.wl_iterations
     )
 
 
@@ -492,6 +489,7 @@ def embed_documents(state: RunState) -> None:
 
 def reduce_points(state: RunState) -> None:
     config = state.config
+    check_umap_neighbors(len(state.matrix.graph_ids), config)
     state.coords, state.reduce_info = reduce_mod.reduce_embeddings(
         state.matrix.vectors,
         n_neighbors=config.umap_neighbors,
@@ -510,9 +508,8 @@ def reduce_points(state: RunState) -> None:
 def cluster_points(state: RunState) -> None:
     config = state.config
     check_k_range(len(state.channels), config)
-    points = state.coords if config.cluster_space == "reduced" else state.matrix.vectors
     state.clustering = compute_clustering(
-        points,
+        state.coords,
         state.channels,
         k_min=config.k_min,
         k_max=config.k_max,
@@ -577,7 +574,7 @@ def write_report(state: RunState) -> None:
 
 
 # The fields every per-channel step reads, through _map_channels.
-_CHANNEL_FIELDS = ("threads", "min_shared_videos", "include_isolated")
+_CHANNEL_FIELDS = ("threads", "min_shared_videos")
 # The pipeline in run order: (stage name in report timings, step, the
 # PipelineConfig fields the step reads besides input and out). The CLI
 # builds each subcommand's flags from the fields of the steps it runs.
@@ -585,14 +582,14 @@ STAGES: tuple[tuple[str, Callable[[RunState], None], tuple[str, ...]], ...] = (
     ("ingest", read_comments, ("format",)),
     ("ingest", check_corpus_size, ("umap_neighbors", "k_min", "k_max")),
     ("graphs", write_graphs, _CHANNEL_FIELDS),
-    ("wl", extract_documents, (*_CHANNEL_FIELDS, "wl_iterations", "wl_weight_buckets")),
+    ("wl", extract_documents, (*_CHANNEL_FIELDS, "wl_iterations")),
     ("cliques", start_census, (*_CHANNEL_FIELDS, "clique_min_size", "clique_budget")),
     ("embed", embed_documents, ("seed", "dim", "lr", "min_count", "epochs", "negative")),
     ("reduce", reduce_points, (
         "seed", "umap_neighbors", "umap_min_dist", "umap_components",
         "umap_spread", "umap_epochs", "umap_negative_rate",
     )),
-    ("cluster", cluster_points, ("seed", "cluster_space", "k_min", "k_max", "n_init")),
+    ("cluster", cluster_points, ("seed", "k_min", "k_max", "n_init")),
     ("cliques", count_cliques, ()),
     ("rank", rank, ()),
     ("report", write_report, ()),

@@ -129,8 +129,8 @@ def write_id_table(graph_ids, rows: np.ndarray, prefix: str, sink: TextTarget) -
 
 def read_id_table(source: TextTarget, what: str) -> tuple[list[str], np.ndarray]:
     """Read a write_id_table CSV back. Anything else, a cell that is not a
-    finite number included, is a MobgraphError naming the file (`what` CSV
-    when source is not a path) and the line."""
+    finite number or a graph_id seen before included, is a MobgraphError
+    naming the file (`what` CSV when source is not a path) and the line."""
     name = source if isinstance(source, (str, Path)) else f"{what} CSV"
     with open_text(source) as stream:
         reader = csv.reader(stream)
@@ -138,7 +138,7 @@ def read_id_table(source: TextTarget, what: str) -> tuple[list[str], np.ndarray]
             header = next(reader, None)
             if not header or header[0] != "graph_id":
                 raise MobgraphError(f"{name}: line 1: expected a header starting with graph_id")
-            ids: list[str] = []
+            lines: dict[str, int] = {}  # graph_id -> its line
             rows: list[list[float]] = []
             for row in reader:
                 if len(row) != len(header):
@@ -149,8 +149,11 @@ def read_id_table(source: TextTarget, what: str) -> tuple[list[str], np.ndarray]
                     if not math.isfinite(value):
                         raise MobgraphError(f"{name}: line {reader.line_num}: "
                                             f"{cell!r} is not a finite number")
+                if row[0] in lines:
+                    raise MobgraphError(f"{name}: line {reader.line_num}: graph_id "
+                                        f"{row[0]!r} repeats line {lines[row[0]]}")
+                lines[row[0]] = reader.line_num
                 rows.append(values)
-                ids.append(row[0])
         except (csv.Error, ValueError) as exc:  # the reader's own errors; float()'s
             raise MobgraphError(f"{name}: line {reader.line_num}: {exc}") from None
-    return ids, np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)
+    return list(lines), np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)

@@ -9,13 +9,14 @@ A round hashes every node at once. FNV-1a over a byte chunk c, started from
 any 64-bit state h, equals h * P**len(c) + T_c[h & 255] (mod 2**64): XOR
 with a byte touches only the low 8 bits of the state, and P is odd, so the
 low byte of every later state depends only on the low byte of h. One
-256-entry table per distinct neighbor label then folds a whole label into
-the states of all nodes in one numpy step.
+256-entry table per distinct label of the round then folds a whole neighbor
+label into the states of all nodes in one numpy step, and gives a node's
+start state, after its own label and "|", as
+((OFFSET * P**len + T[OFFSET & 255]) ^ ord("|")) * P.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -34,6 +35,7 @@ _OFFSET64 = np.uint64(_FNV_OFFSET)
 _PRIME64 = np.uint64(_FNV_PRIME)
 _LOW_BYTE = np.uint64(0xFF)
 _COMMA = np.uint64(ord(","))
+_BAR = np.uint64(ord("|"))
 _ALL_LOW_BYTES = np.arange(256, dtype=np.uint64)
 
 
@@ -55,10 +57,6 @@ class GraphDocument:
 def initial_labels(graph: Graph) -> dict[str, str]:
     """Seed labeling: every node labeled by its decimal degree."""
     return {u: str(graph.degree(u)) for u in graph.nodes()}
-
-
-def _weight_bucket(weight: float) -> int:
-    return int(math.floor(math.log2(weight)))
 
 
 def _length_groups(texts: list[str]):
@@ -101,23 +99,13 @@ def _part_tables(parts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables, powers, row_of_rank
 
 
-def _prefix_states(labels: list[str]) -> np.ndarray:
-    """The FNV-1a state after label + "|", for each label."""
-    states = np.empty(len(labels), dtype=np.uint64)
-    for where, text in _length_groups([f"{label}|" for label in labels]):
-        group = np.full((len(where), 1), _OFFSET64, dtype=np.uint64)
-        _fold(group, text)
-        states[where] = group[:, 0]
-    return states
-
-
 class _NeighbourIndex:
     """The graph's adjacency as flat int32 rows, built once per document.
 
     Rows run in order of descending degree (ties by node id), so the nodes
     with more than k neighbours are always a prefix of that order."""
 
-    def __init__(self, graph: Graph, weight_buckets: bool):
+    def __init__(self, graph: Graph):
         self.nodes = graph.nodes()
         position = {u: i for i, u in enumerate(self.nodes)}
         degrees = np.fromiter(map(graph.degree, self.nodes), np.int64, len(self.nodes))
@@ -129,44 +117,10 @@ class _NeighbourIndex:
         max_degree = int(self.degrees[0]) if len(self.nodes) else 0
         self.folding = np.searchsorted(-self.degrees, -np.arange(max_degree), "left")
         ordered = [self.nodes[i] for i in self.order.tolist()]
-        n_slots = int(self.degrees.sum())
         self.neighbours = np.fromiter(
             map(position.__getitem__, chain.from_iterable(map(graph.neighbors, ordered))),
-            np.int32, n_slots,
+            np.int32, int(self.degrees.sum()),
         )
-        self.buckets: list[int] = []
-        self.bucket_of_slot = None
-        if weight_buckets:
-            weights = np.fromiter(
-                (graph.weight(v, u) for v in ordered for u in graph.neighbors(v)),
-                np.float64, n_slots,
-            )
-            distinct, weight_of_slot = np.unique(weights, return_inverse=True)
-            of_weight = [_weight_bucket(w) for w in distinct.tolist()]
-            self.buckets = sorted(set(of_weight))
-            index = {b: i for i, b in enumerate(self.buckets)}
-            bucket_of_weight = np.array([index[b] for b in of_weight], dtype=np.int64)
-            self.bucket_of_slot = bucket_of_weight[weight_of_slot.reshape(-1)]
-
-    def _slot_parts(
-        self, label_rank: np.ndarray, labels: list[str]
-    ) -> tuple[np.ndarray, list[str]]:
-        """Each slot's rank among the round's distinct neighbour parts, and
-        those parts in sorted order. labels are the distinct labels, sorted,
-        and label_rank each node's position among them."""
-        slot_rank = label_rank[self.neighbours]
-        if self.bucket_of_slot is None:
-            return slot_rank, labels
-        n_buckets = len(self.buckets)
-        codes, slot_code = np.unique(
-            slot_rank.astype(np.int64) * n_buckets + self.bucket_of_slot, return_inverse=True
-        )
-        parts = [f"{labels[c // n_buckets]}~{self.buckets[c % n_buckets]}"
-                 for c in codes.tolist()]
-        order = sorted(range(len(parts)), key=parts.__getitem__)
-        rank_of_code = np.empty(len(parts), dtype=np.int32)
-        rank_of_code[order] = np.arange(len(parts), dtype=np.int32)
-        return rank_of_code[slot_code.reshape(-1)], [parts[i] for i in order]
 
     def _sort_rows(self, slot_rank: np.ndarray) -> None:
         """Sort every node's row in place: rows of one degree sit side by
@@ -183,11 +137,13 @@ class _NeighbourIndex:
         distinct = sorted(set(labels))
         rank = {label: i for i, label in enumerate(distinct)}
         label_rank = np.fromiter(map(rank.__getitem__, labels), np.int32, len(labels))
-        slot_rank, parts = self._slot_parts(label_rank, distinct)
+        slot_rank = label_rank[self.neighbours]
         self._sort_rows(slot_rank)
-        tables, powers, row_of_rank = _part_tables(parts)
+        tables, powers, row_of_rank = _part_tables(distinct)
 
-        state = _prefix_states(distinct)[label_rank[self.order]]
+        start = (_OFFSET64 * powers + tables[:, _FNV_OFFSET & 0xFF]) ^ _BAR
+        start *= _PRIME64
+        state = start[row_of_rank[label_rank[self.order]]]
         for k, count in enumerate(self.folding.tolist()):
             h = state[:count]
             if k:
@@ -202,21 +158,13 @@ class _NeighbourIndex:
         return [f"{h:016x}" for h in hashes.tolist()]
 
 
-def wl_iteration(
-    graph: Graph, labels: dict[str, str], weight_buckets: bool = False
-) -> dict[str, str]:
-    """One refinement round: hash own label with sorted neighbor labels.
-
-    weight_buckets appends a log2 bucket of the edge weight to each neighbor
-    label before sorting, so weights can enter the refinement when wanted.
-    """
-    index = _NeighbourIndex(graph, weight_buckets)
+def wl_iteration(graph: Graph, labels: dict[str, str]) -> dict[str, str]:
+    """One refinement round: hash own label with sorted neighbor labels."""
+    index = _NeighbourIndex(graph)
     return dict(zip(index.nodes, index.refine([labels[u] for u in index.nodes])))
 
 
-def extract_document(
-    graph: Graph, iterations: int = 2, weight_buckets: bool = False
-) -> GraphDocument:
+def extract_document(graph: Graph, iterations: int = 2) -> GraphDocument:
     """Token document over iterations 0..iterations; length = n * (h+1).
 
     Tokens carry an iteration prefix ("0_", "1_", ...) so labels from
@@ -224,7 +172,7 @@ def extract_document(
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    index = _NeighbourIndex(graph, weight_buckets)
+    index = _NeighbourIndex(graph)
     seed = initial_labels(graph)
     labels = [seed[v] for v in index.nodes]
     tokens = [f"0_{label}" for label in labels]

@@ -295,21 +295,6 @@ def test_pipeline_clears_stale_marker(corpus_dir, tmp_path):
     assert not (out / "INCOMPLETE").exists()
 
 
-def test_pipeline_cluster_space_ablation(corpus_dir, tmp_path):
-    out = tmp_path / "ablation"
-    code = main([
-        "pipeline", "--input", str(corpus_dir / "comments.csv"),
-        "--out", str(out), "--seed", "0", "--cluster-space", "embeddings",
-    ])
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["config"]["cluster_space"] == "embeddings"
-    stages = tmp_path / "stages"  # the subcommand clusters embeddings.csv the same way
-    assert main(["cluster", "--input", str(out / "embeddings.csv"), "--out", str(stages),
-                 "--cluster-space", "embeddings"]) == 0
-    assert read_bytes(stages / "dendrogram.json") == read_bytes(out / "dendrogram.json")
-
-
 def synth_corpus(path, channels):
     assert main(["synth", "--out", str(path), "--channels", str(channels),
                  "--videos", "10", "--organic", "12"]) == 0
@@ -662,11 +647,11 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("values, detail", [
     ({"dim": "16"}, "dim must be int, got '16'"),
-    ({"include_isolated": "no"}, "include_isolated must be bool, got 'no'"),
+    ({"dim": True}, "dim must be int, got True"),
     ({"seed": True}, "seed must be int, got True"),
     ({"threads": 2.5}, "threads must be int, got 2.5"),
     ({"input": 5}, "input must be str, got 5"),
-], ids=["dim", "include_isolated", "seed", "threads", "input"])
+], ids=["dim", "dim true", "seed", "threads", "input"])
 def test_config_value_of_wrong_type_fails_before_ingest(corpus_dir, tmp_path, capsys,
                                                          values, detail):
     out = tmp_path / "run"
@@ -682,9 +667,26 @@ def test_resolve_config_types():
     config = resolve_config({"lr": 1, "umap_spread": 2.5, "dim": None, "k_max": None})
     assert (config.lr, config.umap_spread) == (1, 2.5)  # an int is a valid float
     assert (config.dim, config.k_max) == (128, None)  # None means "not set"
-    for values in ({"lr": True}, {"include_isolated": 1}, {"k_max": 3.0}, {"format": 1}):
+    for values in ({"lr": True}, {"n_init": True}, {"k_max": 3.0}, {"format": 1}):
         with pytest.raises(InvalidConfig, match="must be"):
             resolve_config(values)
+
+
+@pytest.mark.parametrize("key", ["include_isolated", "wl_weight_buckets", "cluster_space"])
+def test_removed_setting_fails_before_input_is_read(tmp_path, capsys, key):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({key: "embeddings" if key == "cluster_space" else True}))
+    out = tmp_path / "run"
+    never_read = str(tmp_path / "never-read.csv")
+    assert main(["pipeline", "--config", str(config_path),
+                 "--input", never_read, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: invalid config: unknown config key {key!r}\n"
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--input", never_read, "--out", str(out), flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_env_fallback(corpus_dir, tmp_path, monkeypatch):
@@ -711,8 +713,6 @@ def test_resolve_config_layers():
     assert config.format == "csv"
     with pytest.raises(InvalidConfig):
         resolve_config({"format": "parquet"}, {})
-    with pytest.raises(InvalidConfig):
-        resolve_config({}, {"cluster_space": "raw"})
     with pytest.raises(InvalidConfig):
         resolve_config({}, {"threads": 0})
     with pytest.raises(InvalidConfig):
@@ -1045,7 +1045,9 @@ def test_min_dist_outside_zero_to_spread_fails_before_ingest(tmp_path, capsys, f
     ("graph_id,e0,e1\nch00,1.0,2.0\nch01,1.0\n", "line 3: expected 3 fields, got 2"),
     (f"graph_id,e0\nch00,{'1' * (csv.field_size_limit() + 1)}\n",
      f"line 2: field larger than field limit ({csv.field_size_limit()})"),
-], ids=["empty", "no graph_id", "not a number", "short row", "field over the csv limit"])
+    ("graph_id,e0\nch00,1.0\nch01,2.0\nch00,3.0\n", "line 4: graph_id 'ch00' repeats line 2"),
+], ids=["empty", "no graph_id", "not a number", "short row", "field over the csv limit",
+        "repeated graph_id"])
 @pytest.mark.parametrize("command", ["reduce", "cluster"])
 def test_malformed_id_table_is_one_error_line(tmp_path, capsys, command, text, message):
     bad = tmp_path / "table.csv"
@@ -1084,6 +1086,19 @@ def test_cluster_on_too_few_rows_explains_the_k_range(pipeline_out, tmp_path, ca
     assert capsys.readouterr().err == (
         f"error: invalid config: {rows} channels leave no k to select with k_min=2, "
         f"k_max=None (k_min must be >= 2; k_max defaults to min(10, channels - 1))\n")
+    assert files_under(out) == []
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+def test_reduce_on_too_few_rows_names_umap_neighbors(pipeline_out, tmp_path, capsys, rows):
+    lines = (pipeline_out / "embeddings.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    table = tmp_path / "embeddings.csv"
+    table.write_text("".join(lines[:1 + rows]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["reduce", "--input", str(table), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid config: {rows} channels is too few for umap_neighbors=5; "
+        f"reduce needs more channels than neighbours\n")
     assert files_under(out) == []
 
 

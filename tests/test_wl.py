@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 
 import numpy as np
@@ -138,40 +137,30 @@ def test_refinement_is_monotone():
             labels = nxt
 
 
-def test_weight_buckets_distinguish_heavy_edges():
+def test_edge_weights_do_not_enter_the_labels():
     light = Graph("light")
     light.add_edge("a", "b", 1.0)
     heavy = Graph("heavy")
     heavy.add_edge("a", "b", 8.0)
-    plain_light = wl_iteration(light, initial_labels(light))
-    plain_heavy = wl_iteration(heavy, initial_labels(heavy))
-    assert plain_light == plain_heavy  # weights ignored by default
-    bl = wl_iteration(light, initial_labels(light), weight_buckets=True)
-    bh = wl_iteration(heavy, initial_labels(heavy), weight_buckets=True)
-    assert bl["a"] != bh["a"]
+    assert wl_iteration(light, initial_labels(light)) == wl_iteration(
+        heavy, initial_labels(heavy))
 
 
-def reference_wl_iteration(graph, labels, weight_buckets=False):
+def reference_wl_iteration(graph, labels):
     """The per-byte, string-join round the vectorised one must match."""
     new_labels = {}
     for v in graph.nodes():
-        if weight_buckets:
-            parts = sorted(
-                f"{labels[u]}~{int(math.floor(math.log2(graph.weight(v, u))))}"
-                for u in graph.neighbors(v)
-            )
-        else:
-            parts = sorted(labels[u] for u in graph.neighbors(v))
+        parts = sorted(labels[u] for u in graph.neighbors(v))
         new_labels[v] = fnv1a64(labels[v] + "|" + ",".join(parts))
     return new_labels
 
 
-def reference_document(graph, iterations, weight_buckets):
+def reference_document(graph, iterations):
     nodes = graph.nodes()
     labels = initial_labels(graph)
     tokens = [f"0_{labels[v]}" for v in nodes]
     for t in range(1, iterations + 1):
-        labels = reference_wl_iteration(graph, labels, weight_buckets)
+        labels = reference_wl_iteration(graph, labels)
         tokens.extend(f"{t}_{labels[v]}" for v in nodes)
     return tokens
 
@@ -182,7 +171,7 @@ def edge_cases():
     single.add_node("only")
     isolated = path_graph("A", "B", "C", "D")
     isolated.add_node("Z")
-    mixed = Graph("mixed")  # fractional weights, some exactly on a power of two
+    mixed = Graph("mixed")  # fractional weights
     for i, w in enumerate([0.25, 0.3, 1.0, 1.9999, 2.0, 3.5, 1024.0, 1e-9]):
         mixed.add_edge(f"m{i}", f"m{(i * 3 + 1) % 8}", w)
     return [empty, single, isolated, triangle(), mixed]
@@ -196,10 +185,8 @@ def test_documents_match_the_per_byte_reference():
         graphs.append(random_graph(rng, n, float(rng.random()),
                                    max_weight=int(rng.integers(1, 12))))
     for g in graphs:
-        for weight_buckets in (False, True):
-            for h in (0, 1, 2, 3):
-                doc = extract_document(g, h, weight_buckets)
-                assert doc.tokens == reference_document(g, h, weight_buckets)
+        for h in (0, 1, 2, 3):
+            assert extract_document(g, h).tokens == reference_document(g, h)
 
 
 def test_iteration_matches_the_reference_on_any_labels():
@@ -209,9 +196,7 @@ def test_iteration_matches_the_reference_on_any_labels():
     for _ in range(30):
         g = random_graph(rng, int(rng.integers(1, 25)), 0.4, max_weight=9)
         labels = {u: str(rng.choice(pool)) for u in g.nodes()}
-        for weight_buckets in (False, True):
-            assert wl_iteration(g, labels, weight_buckets) == reference_wl_iteration(
-                g, labels, weight_buckets)
+        assert wl_iteration(g, labels) == reference_wl_iteration(g, labels)
 
 
 # --- documents --------------------------------------------------------------------
