@@ -84,11 +84,6 @@ class TooFewPoints(MobgraphError):
         self.needed = needed
 
 
-class NoConvergence(MobgraphError):
-    def __init__(self, detail: str):
-        super().__init__(f"curve fit did not converge: {detail}")
-
-
 class NonFiniteCoordinate(MobgraphError):
     def __init__(self, detail: str):
         super().__init__(f"layout produced non-finite coordinates: {detail}")

@@ -79,9 +79,7 @@ class PipelineConfig:
     epochs: int = 10
     negative: int = 5
     umap_neighbors: int = 5
-    umap_min_dist: float = 0.1
     umap_components: int = 4
-    umap_spread: float = 1.0
     umap_epochs: int = 500
     umap_negative_rate: int = 5
     k_min: int = 2
@@ -99,8 +97,9 @@ CHOICES = {"format": ("csv", "json-lines")}
 # The least value of each integer setting that its stage can run with.
 LOWER_BOUNDS = {
     "threads": 1, "min_shared_videos": 1, "wl_iterations": 0, "dim": 1,
-    "min_count": 1, "negative": 0, "umap_neighbors": 1, "umap_components": 1,
-    "umap_epochs": 1, "umap_negative_rate": 1, "clique_min_size": 1, "n_init": 1,
+    "min_count": 1, "epochs": 1, "negative": 0, "umap_neighbors": 1,
+    "umap_components": 1, "umap_epochs": 1, "umap_negative_rate": 1,
+    "clique_min_size": 1, "clique_budget": 1, "n_init": 1,
 }
 
 
@@ -135,11 +134,6 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
         value = getattr(config, key)
         if value < least:
             raise InvalidConfig(f"{key} must be >= {least}, got {value}")
-    if not 0 < config.umap_min_dist <= config.umap_spread:
-        raise InvalidConfig(
-            f"umap_min_dist must be > 0 and <= umap_spread, got umap_min_dist="
-            f"{config.umap_min_dist}, umap_spread={config.umap_spread}"
-        )
     return config
 
 
@@ -493,9 +487,7 @@ def reduce_points(state: RunState) -> None:
     state.coords, state.reduce_info = reduce_mod.reduce_embeddings(
         state.matrix.vectors,
         n_neighbors=config.umap_neighbors,
-        min_dist=config.umap_min_dist,
         n_components=config.umap_components,
-        spread=config.umap_spread,
         epochs=config.umap_epochs,
         negative_rate=config.umap_negative_rate,
         seed=config.seed,
@@ -586,8 +578,7 @@ STAGES: tuple[tuple[str, Callable[[RunState], None], tuple[str, ...]], ...] = (
     ("cliques", start_census, (*_CHANNEL_FIELDS, "clique_min_size", "clique_budget")),
     ("embed", embed_documents, ("seed", "dim", "lr", "min_count", "epochs", "negative")),
     ("reduce", reduce_points, (
-        "seed", "umap_neighbors", "umap_min_dist", "umap_components",
-        "umap_spread", "umap_epochs", "umap_negative_rate",
+        "seed", "umap_neighbors", "umap_components", "umap_epochs", "umap_negative_rate",
     )),
     ("cluster", cluster_points, ("seed", "k_min", "k_max", "n_init")),
     ("cliques", count_cliques, ()),

@@ -2,7 +2,8 @@
 
 Pipeline: exact kNN -> per-point bandwidth calibration -> fuzzy symmetric
 neighbor graph -> low-dimensional layout by stochastic gradient descent on
-an attraction/repulsion objective shaped by a fitted curve 1/(1 + a x^(2b)).
+an attraction/repulsion objective shaped by the curve 1/(1 + a x^(2b)), with
+(a, b) the reference fit for min_dist 0.1 and spread 1.0 (DEFAULT_CURVE).
 Brute-force kNN is deliberate: inputs are tens of points, not millions.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NonFiniteCoordinate, TooFewPoints
+from .errors import NonFiniteCoordinate, TooFewPoints
 from .seeding import buffered_draws, rng_for
 from .textio import TextTarget, read_id_table, write_id_table
 
@@ -23,8 +24,10 @@ logger = logging.getLogger(__name__)
 SMOOTH_TOLERANCE = 1e-5
 MIN_SIGMA_SCALE = 1e-3
 GRAD_CLIP = 4.0
-# The fit for the default min_dist=0.1, spread=1.0, bit for bit as _fit_curve
-# returns it (tests/test_reduce.py checks), so a default run imports no scipy.
+# (a, b) of the least-squares fit of 1/(1 + a x^(2b)) to the target falloff
+# for min_dist 0.1 and spread 1.0: 1 below x = 0.1, exp(-(x - 0.1)) above, on
+# 300 samples over [0, 3], as a Levenberg-Marquardt fit from (1, 1) returns
+# it, bit for bit (tests/test_reduce.py checks). It is the only curve.
 DEFAULT_CURVE = (1.5769434602697652, 0.8950608778515733)
 
 
@@ -123,41 +126,12 @@ def fuzzy_union(neighbors: NeighborGraph) -> FuzzyGraph:
     return FuzzyGraph(strengths=merged)
 
 
-def _psi(x: np.ndarray, min_dist: float, spread: float) -> np.ndarray:
-    out = np.ones_like(x)
-    tail = x >= min_dist
-    out[tail] = np.exp(-(x[tail] - min_dist) / spread)
-    return out
+def fit_curve_params() -> tuple[float, float]:
+    """The (a, b) of the layout curve 1/(1 + a x^(2b)): DEFAULT_CURVE.
 
-
-def fit_curve_params(min_dist: float = 0.1, spread: float = 1.0) -> tuple[float, float]:
-    """Least-squares fit of 1/(1 + a x^(2b)) to the target falloff curve
-    on 300 samples over [0, 3*spread]; the default settings return their
-    pinned fit."""
-    if not 0 < min_dist <= spread:
-        raise ValueError(f"need 0 < min_dist <= spread, got {min_dist}, {spread}")
-    if (min_dist, spread) == (0.1, 1.0):
-        return DEFAULT_CURVE
-    return _fit_curve(min_dist, spread)
-
-
-def _fit_curve(min_dist: float, spread: float) -> tuple[float, float]:
-    from scipy.optimize import curve_fit  # here, not at the top: slow to import
-
-    xv = np.linspace(0.0, 3.0 * spread, 300)
-    yv = _psi(xv, min_dist, spread)
-
-    def curve(x: np.ndarray, a: float, b: float) -> np.ndarray:
-        return 1.0 / (1.0 + a * x ** (2.0 * b))
-
-    try:
-        params, _ = curve_fit(curve, xv, yv, p0=(1.0, 1.0))
-    except RuntimeError as exc:
-        raise NoConvergence(str(exc)) from None
-    a, b = float(params[0]), float(params[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0):
-        raise NoConvergence(f"degenerate parameters a={a}, b={b}")
-    return a, b
+    reduce_embeddings looks it up as a module global on every call, so that
+    perfbench can wrap and time it (reduce.curve_fit_s)."""
+    return DEFAULT_CURVE
 
 
 def _layout_init_mode(strengths: np.ndarray, n_components: int) -> str:
@@ -235,8 +209,8 @@ def _spectral_init(strengths: np.ndarray, n_components: int, seed: int) -> np.nd
 def optimize_layout(
     fuzzy: FuzzyGraph,
     n_components: int = 4,
-    a: float = 1.577,
-    b: float = 0.895,
+    a: float = DEFAULT_CURVE[0],
+    b: float = DEFAULT_CURVE[1],
     epochs: int = 500,
     negative_rate: int = 5,
     seed: int = 0,
@@ -358,22 +332,20 @@ def optimize_layout(
 def reduce_embeddings(
     points: np.ndarray,
     n_neighbors: int = 5,
-    min_dist: float = 0.1,
     n_components: int = 4,
-    spread: float = 1.0,
     epochs: int = 500,
     negative_rate: int = 5,
     seed: int = 0,
 ) -> tuple[np.ndarray, dict]:
-    """Full reduction: kNN, bandwidths, fuzzy union, curve fit, layout.
+    """Full reduction: kNN, bandwidths, fuzzy union, layout.
 
-    Returns (coordinates, info) where info records the fitted curve and the
+    Returns (coordinates, info) where info records the layout curve and the
     initialization mode for the run report.
     """
     points = np.asarray(points, dtype=np.float64)
     neighbors = smooth_knn(knn_exact(points, n_neighbors))
     fuzzy = fuzzy_union(neighbors)
-    a, b = fit_curve_params(min_dist=min_dist, spread=spread)
+    a, b = fit_curve_params()
     coords = optimize_layout(
         fuzzy,
         n_components=n_components,
@@ -388,8 +360,6 @@ def reduce_embeddings(
         "b": b,
         "init": _layout_init_mode(fuzzy.strengths, n_components),
         "n_neighbors": n_neighbors,
-        "min_dist": min_dist,
-        "spread": spread,
         "epochs": epochs,
         "negative_rate": negative_rate,
         "optimized": points.shape[0] > n_components + 1,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidConfig
 from .ingest import CommentRecord
 from .seeding import rng_for
@@ -75,6 +77,12 @@ def mob_id(m: int) -> str:
     return f"mob{m:02d}"
 
 
+def _hits(rng: np.random.Generator, n: int, prob: float) -> list[int]:
+    """The indices of n accounts that comment on one video, one uniform
+    each: one row of draws gives the same doubles as n single draws."""
+    return np.flatnonzero(rng.random(n) < prob).tolist()
+
+
 def generate_corpus(config: SynthConfig) -> tuple[list[CommentRecord], GroundTruth]:
     """Sample a corpus; byte-identical for a fixed config and seed.
 
@@ -104,30 +112,25 @@ def generate_corpus(config: SynthConfig) -> tuple[list[CommentRecord], GroundTru
         counter = 0
         for j in range(config.videos_per_channel):
             vid = f"{cid}_v{j:03d}"
-            for i in range(config.organic_commenters):
-                if organic_rng.random() < config.organic_prob:
-                    records.append(
-                        CommentRecord(
-                            channel_id=cid,
-                            video_id=vid,
-                            commenter_id=f"{cid}_u{i:03d}",
-                            comment_id=f"{cid}_c{counter:06d}",
-                        )
-                    )
-                    counter += 1
+            commenters = [
+                f"{cid}_u{i:03d}"
+                for i in _hits(organic_rng, config.organic_commenters, config.organic_prob)
+            ]
             for m in mobs_by_channel[c]:
                 mob = config.mobs[m]
-                for i in range(mob.size):
-                    if mob_rngs[m].random() < mob.prob:
-                        records.append(
-                            CommentRecord(
-                                channel_id=cid,
-                                video_id=vid,
-                                commenter_id=f"{mob_id(m)}_u{i:02d}",
-                                comment_id=f"{cid}_c{counter:06d}",
-                            )
-                        )
-                        counter += 1
+                commenters += [
+                    f"{mob_id(m)}_u{i:02d}" for i in _hits(mob_rngs[m], mob.size, mob.prob)
+                ]
+            for commenter in commenters:
+                records.append(
+                    CommentRecord(
+                        channel_id=cid,
+                        video_id=vid,
+                        commenter_id=commenter,
+                        comment_id=f"{cid}_c{counter:06d}",
+                    )
+                )
+                counter += 1
 
     commenter_mobs = {
         f"{mob_id(m)}_u{i:02d}": mob_id(m)

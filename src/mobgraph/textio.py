@@ -82,10 +82,10 @@ def open_text(target: Source, mode: str = "r") -> Iterator[IO[str]]:
 
 
 def has_type(value, kind: type) -> bool:
-    """Whether a value read from JSON is a kind: a bool is not an int, and an
-    int is a float."""
+    """Whether a value read from JSON is a kind (int, float or str): a bool is
+    none of them, and an int is a float."""
     accepted = (int, float) if kind is float else kind
-    return isinstance(value, accepted) and isinstance(value, bool) == (kind is bool)
+    return isinstance(value, accepted) and not isinstance(value, bool)
 
 
 def read_json(path: str | Path, *keys: str) -> dict:

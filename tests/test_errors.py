@@ -18,7 +18,6 @@ EXAMPLES = {
     "NonFiniteUpdate": ("nan in row 3",),
     "ZeroVector": (),
     "TooFewPoints": (3, 5),
-    "NoConvergence": ("maxfev reached",),
     "NonFiniteCoordinate": ("inf at epoch 2",),
     "InvalidK": (9, 4),
     "SingleCluster": (),

@@ -187,39 +187,27 @@ def test_union_oracle_recomputation():
 
 # --- falloff curve -----------------------------------------------------------------
 
+def target_falloff(x):
+    """The curve the layout's (a, b) is fitted to: min_dist 0.1, spread 1.0."""
+    return np.where(x < 0.1, 1.0, np.exp(-(x - 0.1)))
+
+
 def test_curve_fit_tracks_target():
-    a, b = fit_curve_params(min_dist=0.1, spread=1.0)
+    a, b = fit_curve_params()
     x = np.linspace(0.0, 3.0, 300)
-    target = np.where(x < 0.1, 1.0, np.exp(-(x - 0.1)))
     fitted = 1.0 / (1.0 + a * x ** (2.0 * b))
-    assert np.max(np.abs(fitted - target)) < 0.05
+    assert np.max(np.abs(fitted - target_falloff(x))) < 0.05
 
 
 def test_curve_fit_deterministic():
-    assert fit_curve_params(0.1, 1.0) == fit_curve_params(0.1, 1.0)
+    assert fit_curve_params() == fit_curve_params()
 
 
 def test_curve_fit_matches_layout_defaults():
     import inspect
 
-    a, b = fit_curve_params()
     sig = inspect.signature(optimize_layout)
-    assert a == pytest.approx(sig.parameters["a"].default, abs=2e-3)
-    assert b == pytest.approx(sig.parameters["b"].default, abs=2e-3)
-
-
-def test_curve_fit_monotone_in_min_dist():
-    fits = [fit_curve_params(md, 1.0) for md in (0.01, 0.1, 0.5)]
-    a_vals = [f[0] for f in fits]
-    b_vals = [f[1] for f in fits]
-    assert a_vals[0] > a_vals[1] > a_vals[2]
-    assert b_vals[0] < b_vals[1] < b_vals[2]
-
-
-@pytest.mark.parametrize("min_dist,spread", [(0.0, 1.0), (-0.1, 1.0), (2.0, 1.0)])
-def test_curve_fit_rejects_bad_arguments(min_dist, spread):
-    with pytest.raises(ValueError):
-        fit_curve_params(min_dist, spread)
+    assert fit_curve_params() == (sig.parameters["a"].default, sig.parameters["b"].default)
 
 
 def test_pinned_default_curve_is_scipys_fit_bit_for_bit():
@@ -227,20 +215,10 @@ def test_pinned_default_curve_is_scipys_fit_bit_for_bit():
 
     xv = np.linspace(0.0, 3.0, 300)
     params, _ = curve_fit(lambda x, a, b: 1.0 / (1.0 + a * x ** (2.0 * b)),
-                          xv, reduce_mod._psi(xv, 0.1, 1.0), p0=(1.0, 1.0))
-    pinned = [x.hex() for x in fit_curve_params(0.1, 1.0)]
+                          xv, target_falloff(xv), p0=(1.0, 1.0))
+    pinned = [x.hex() for x in fit_curve_params()]
     assert pinned == ["0x1.93b2910d7fed7p+0", "0x1.ca456b5c9a65dp-1"]
     assert pinned == [float(x).hex() for x in params]
-    assert pinned == [x.hex() for x in reduce_mod._fit_curve(0.1, 1.0)]
-
-
-def test_curve_fit_non_default_settings_still_fit():
-    a, b = fit_curve_params(0.2, 1.0)
-    assert (a, b) != fit_curve_params(0.1, 1.0)
-    x = np.linspace(0.0, 3.0, 300)
-    target = np.where(x < 0.2, 1.0, np.exp(-(x - 0.2)))
-    fitted = 1.0 / (1.0 + a * x ** (2.0 * b))
-    assert np.max(np.abs(fitted - target)) < 0.05
 
 
 # --- connectivity ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -28,6 +29,25 @@ def test_generation_is_deterministic():
     write_comments_csv(records_a, buf_a)
     write_comments_csv(records_b, buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
+
+
+# The corpora of perfbench/workloads.py at seed 0: the benchmark's inputs
+# change if any of these records do.
+@pytest.mark.parametrize("size,records,digest", [
+    (dict(n_channels=12, videos_per_channel=40, organic_commenters=100), 8434,
+     "3c058751a82c06f1e9f8b5b6d1bebd9e7a87d01a79ee1a1223a6511cb34aacc7"),
+    (dict(n_channels=60, videos_per_channel=20, organic_commenters=30,
+          heavy_mob_size=8, heavy_mob_prob=0.5), 9055,
+     "0fdaddc6e7bb1dc6bc0f2f0d4d5a88a04bb909e0a56024557af3041bf35ca1af"),
+    (dict(n_channels=12, videos_per_channel=40, organic_commenters=50), 6065,
+     "7d3dc46f19a4d197994a2d83dd53f97cf4af1d7b5027867487c243bcb536f47e"),
+], ids=["census_dense", "many_sparse", "stagewise_jsonl"])
+def test_benchmark_corpora_are_pinned(size, records, digest):
+    corpus, _ = generate_corpus(two_family_config(seed=0, **size))
+    buf = io.StringIO()
+    write_comments_csv(corpus, buf)
+    assert len(corpus) == records
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 def test_seed_changes_corpus():
