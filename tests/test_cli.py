@@ -713,6 +713,23 @@ def test_removed_setting_fails_before_input_is_read(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--umap-min-dist", "0"], ["--umap-min-dist", "2.0"], ["--umap-spread", "-1"],
+    ["--umap-min-dist", "0.5", "--umap-spread", "0.4"],
+])
+def test_min_dist_outside_zero_to_spread_fails_before_ingest(tmp_path, capsys, flags):
+    # The layout curve is pinned, so the old out-of-range settings are now unknown ones.
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--input", str(tmp_path / "never-read.csv"),
+              "--out", str(out), *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(InvalidConfig, match="unknown config key 'umap_min_dist'"):
+        resolve_config({}, {"umap_min_dist": 0.5, "umap_spread": 0.5})
+
+
 def test_threads_env_fallback(corpus_dir, tmp_path, monkeypatch):
     monkeypatch.setenv("MOBGRAPH_THREADS", "2")
     out = tmp_path / "env"
