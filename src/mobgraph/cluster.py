@@ -165,16 +165,17 @@ def k_range(n: int, k_min: int = 2, k_max: int | None = None) -> range:
 
 def select_k_by_silhouette(
     points, k_min: int = 2, k_max: int | None = None, seed: int = 0, n_init: int = 10
-) -> tuple[int, dict[int, float]]:
+) -> tuple[int, dict[int, float], KMeansResult]:
     """Run kmeans over [k_min, k_max], return argmax silhouette, ties to
-    the smaller k, plus the full score table."""
+    the smaller k, the full score table, and the selected k's fit."""
     points = _as_points(points)
     scores: dict[int, float] = {}
+    fits: dict[int, KMeansResult] = {}
     for k in k_range(points.shape[0], k_min, k_max):
-        result = kmeans(points, k, seed=seed, n_init=n_init)
-        scores[k] = silhouette_score(points, result.labels)
+        fits[k] = kmeans(points, k, seed=seed, n_init=n_init)
+        scores[k] = silhouette_score(points, fits[k].labels)
     best_k = max(scores, key=lambda k: (scores[k], -k))
-    return best_k, scores
+    return best_k, scores, fits[best_k]
 
 
 # --- hierarchical -----------------------------------------------------------

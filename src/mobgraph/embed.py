@@ -82,12 +82,13 @@ def pair_gradients(
     """Ascent gradients of pair_objective wrt doc_vec and token_vecs."""
     f = token_vecs @ doc_vec
     # sigma(f) as 1/(1 + e^-f) for f >= 0 and e^f/(1 + e^f) below: one
-    # exp that cannot overflow.
+    # exp that cannot overflow. np.exp, not math.exp: the two may differ in
+    # the last bit, and the rest is the same IEEE operations on floats.
     e = np.exp(-np.abs(f))
-    err = labels - np.where(f >= 0, 1.0, e) / (1.0 + e)
-    grad_doc = err @ token_vecs
-    grad_tokens = err[:, None] * doc_vec
-    return grad_doc, grad_tokens
+    err = labels - [
+        (1.0 if x >= 0 else y) / (1.0 + y) for x, y in zip(f.tolist(), e.tolist())
+    ]
+    return err @ token_vecs, np.multiply.outer(err, doc_vec)
 
 
 def _noise_cumulative(vocab: Vocabulary) -> np.ndarray:
@@ -155,41 +156,53 @@ def train_embeddings(
         lambda k: np.searchsorted(
             cum, noise_rng.random(k) * total_mass, side="right"
         ).tolist()
-    )
+    ).__next__
     if len(vocab) == 1:
         negative = 0  # no token other than the positive one to draw as noise
     labels = np.zeros(1 + negative, dtype=np.float64)
     labels[0] = 1.0
     lr_span = final_lr - initial_lr
     doc_rows = list(docvecs)  # row views: updating one updates docvecs
+    # An epoch's updates in order: the document vector and the kept token.
+    update_docs = [doc_rows[di] for di in order for _ in token_ids[di]]
+    update_tokens = [w for di in order for w in token_ids[di]]
 
     update = 0
     for epoch in range(epochs):
+        # The epoch's noise draws do not depend on the vectors, so they are
+        # taken up front: row p holds update p's token and its negatives,
+        # from the same stream in the same order, rejecting the token itself.
+        flat: list[int] = []
+        distinct: list[bool] = []
+        for w in update_tokens:
+            flat.append(w)
+            negs: list[int] = []
+            while len(negs) < negative:
+                draw = noise()
+                if draw != w:
+                    negs.append(draw)
+            flat.extend(negs)
+            distinct.append(len(set(negs)) == negative)
+        rows_idx = list(np.array(flat).reshape(-1, 1 + negative))
         epoch_objective = 0.0
-        for di in order:
-            doc_vec = doc_rows[di]
-            for w in token_ids[di]:
-                if total_updates > 1:
-                    lr = initial_lr + lr_span * (update / (total_updates - 1))
-                else:
-                    lr = initial_lr
-                negs: list[int] = []
-                while len(negs) < negative:
-                    draw = next(noise)
-                    if draw != w:
-                        negs.append(draw)
-                idx = np.array([w] + negs)
-                distinct = len(set(negs)) == negative
-                rows = tokenvecs[idx]
-                if objective_out is not None:
-                    epoch_objective += pair_objective(doc_vec, rows, labels)
-                grad_doc, grad_tokens = pair_gradients(doc_vec, rows, labels)
-                if distinct:
-                    tokenvecs[idx] = rows + lr * grad_tokens
-                else:  # a repeated row must take its updates one after another
-                    np.add.at(tokenvecs, idx, lr * grad_tokens)
-                doc_vec += lr * grad_doc
-                update += 1
+        for doc_vec, idx, unique in zip(update_docs, rows_idx, distinct):
+            if total_updates > 1:
+                lr = initial_lr + lr_span * (update / (total_updates - 1))
+            else:
+                lr = initial_lr
+            rows = tokenvecs[idx]
+            if objective_out is not None:
+                epoch_objective += pair_objective(doc_vec, rows, labels)
+            grad_doc, grad_tokens = pair_gradients(doc_vec, rows, labels)
+            grad_tokens *= lr
+            if unique:
+                grad_tokens += rows
+                tokenvecs[idx] = grad_tokens
+            else:  # a repeated row must take its updates one after another
+                np.add.at(tokenvecs, idx, grad_tokens)
+            grad_doc *= lr
+            doc_vec += grad_doc
+            update += 1
         if objective_out is not None:
             objective_out.append(epoch_objective / max(1, pairs_per_epoch))
         if not np.isfinite(docvecs).all() or not np.isfinite(tokenvecs).all():

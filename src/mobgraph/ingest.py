@@ -12,6 +12,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import IO, Iterable
 
 from .errors import DuplicateCommentId, EmptyChannel, MalformedRow, MissingColumn
@@ -56,57 +57,68 @@ def parse_comments(
         raise ValueError(f"on_duplicate must be 'warn' or 'error', got {on_duplicate!r}")
     records: list[CommentRecord] = []
     seen: set[str] = set()
+    # Ids already found valid: each distinct one is checked once per parse.
+    channels_ok: set[str] = set()
+    commenters_ok: set[str] = set()
     with open_text(source) as stream:
         rows = _iter_csv(stream) if format == "csv" else _iter_json_lines(stream)
-        for line, fields in rows:
-            record = _make_record(line, fields)
-            if record.comment_id in seen:
+        for line, (channel, video, commenter, comment_id, published, text) in rows:
+            if not channel:
+                raise MalformedRow(line, "empty or missing channel_id")
+            if not video:
+                raise MalformedRow(line, "empty or missing video_id")
+            if not commenter:
+                raise MalformedRow(line, "empty or missing commenter_id")
+            if comment_id is None:
+                raise MalformedRow(line, "missing comment_id")
+            if channel not in channels_ok:
+                _check_channel(line, channel)
+                channels_ok.add(channel)
+            if commenter not in commenters_ok:
+                _check_gexf_text(line, "commenter_id", commenter)
+                commenters_ok.add(commenter)
+            if comment_id in seen:
                 if on_duplicate == "error":
-                    raise DuplicateCommentId(record.comment_id, line)
+                    raise DuplicateCommentId(comment_id, line)
                 logger.warning(
-                    "dropping duplicate comment_id %r at line %d", record.comment_id, line
+                    "dropping duplicate comment_id %r at line %d", comment_id, line
                 )
                 continue
-            seen.add(record.comment_id)
-            records.append(record)
+            seen.add(comment_id)
+            records.append(CommentRecord(channel, video, commenter, comment_id,
+                                         published or None, text or None))
     return records
 
 
-def _make_record(line: int, fields: dict[str, str | None]) -> CommentRecord:
-    for col in ("channel_id", "video_id", "commenter_id"):
-        value = fields.get(col)
-        if not value:
-            raise MalformedRow(line, f"empty or missing {col}")
-    if fields.get("comment_id") is None:
-        raise MalformedRow(line, "missing comment_id")
-    channel = fields["channel_id"]  # becomes a file name: graphs/<channel>.gexf
+def _check_channel(line: int, channel: str) -> None:
+    """A channel id becomes a file name, graphs/<channel>.gexf, and is
+    written into GEXF."""
     if channel in (".", "..") or any(c in channel for c in "/\\"):
         raise MalformedRow(line, f"channel_id {channel!r} is not a safe file name")
-    for col in ("channel_id", "commenter_id"):  # both are written into GEXF
-        if _NOT_XML.search(fields[col]):
-            raise MalformedRow(line, f"{col} {fields[col]!r} holds a character "
-                                     f"that GEXF cannot carry")
-    return CommentRecord(
-        channel_id=fields["channel_id"],  # type: ignore[arg-type]
-        video_id=fields["video_id"],  # type: ignore[arg-type]
-        commenter_id=fields["commenter_id"],  # type: ignore[arg-type]
-        comment_id=fields["comment_id"],  # type: ignore[arg-type]
-        published_at=fields.get("published_at") or None,
-        text=fields.get("text") or None,
-    )
+    _check_gexf_text(line, "channel_id", channel)
 
 
-def _iter_csv(stream: IO[str]) -> Iterable[tuple[int, dict[str, str | None]]]:
-    """The CSV rows as fields, with an error of the reader itself (a NUL byte
-    before Python 3.11, a field over csv.field_size_limit()) as MalformedRow."""
+def _check_gexf_text(line: int, col: str, value: str) -> None:
+    if _NOT_XML.search(value):
+        raise MalformedRow(line, f"{col} {value!r} holds a character "
+                                 f"that GEXF cannot carry")
+
+
+# A row: its CSV_HEADER values in that order, None for an absent column.
+Row = tuple[str | None, ...]
+
+
+def _iter_csv(stream: IO[str]) -> Iterable[tuple[int, Row]]:
+    """The CSV rows, with an error of the reader itself (a NUL byte before
+    Python 3.11, a field over csv.field_size_limit()) as MalformedRow."""
     reader = csv.reader(stream)
     try:
-        yield from _csv_fields(reader)
+        yield from _csv_rows(reader)
     except csv.Error as exc:
         raise MalformedRow(reader.line_num, str(exc)) from None
 
 
-def _csv_fields(reader) -> Iterable[tuple[int, dict[str, str | None]]]:
+def _csv_rows(reader) -> Iterable[tuple[int, Row]]:
     try:
         header = next(reader)
     except StopIteration:
@@ -115,22 +127,21 @@ def _csv_fields(reader) -> Iterable[tuple[int, dict[str, str | None]]]:
     for col in REQUIRED_COLUMNS:
         if col not in positions:
             raise MissingColumn(col)
+    width = len(header)
+    # An absent optional column reads the None appended to each row.
+    pick = itemgetter(*(positions.get(col, width) for col in CSV_HEADER))
     for row in reader:
         if not row:
             continue  # blank line
-        line = reader.line_num
-        if len(row) != len(header):
+        if len(row) != width:
             raise MalformedRow(
-                line, f"expected {len(header)} fields, got {len(row)}"
+                reader.line_num, f"expected {width} fields, got {len(row)}"
             )
-        fields: dict[str, str | None] = {}
-        for col in CSV_HEADER:
-            pos = positions.get(col)
-            fields[col] = row[pos] if pos is not None else None
-        yield line, fields
+        row.append(None)
+        yield reader.line_num, pick(row)
 
 
-def _iter_json_lines(stream: IO[str]) -> Iterable[tuple[int, dict[str, str | None]]]:
+def _iter_json_lines(stream: IO[str]) -> Iterable[tuple[int, Row]]:
     for line, raw in enumerate(stream, start=1):
         raw = raw.rstrip("\n").rstrip("\r")
         if not raw.strip():
@@ -141,19 +152,14 @@ def _iter_json_lines(stream: IO[str]) -> Iterable[tuple[int, dict[str, str | Non
             raise MalformedRow(line, f"invalid JSON: {exc.msg}") from None
         if not isinstance(obj, dict):
             raise MalformedRow(line, "expected a JSON object")
-        fields: dict[str, str | None] = {}
-        for col in CSV_HEADER:
-            value = obj.get(col)
-            if value is None:
-                fields[col] = None
-            elif isinstance(value, str):
-                fields[col] = value
-            else:
+        row = tuple(map(obj.get, CSV_HEADER))
+        for col, value in zip(CSV_HEADER, row):
+            if value is not None and not isinstance(value, str):
                 raise MalformedRow(line, f"{col} must be a string")
         for col in REQUIRED_COLUMNS:
             if col not in obj:
                 raise MalformedRow(line, f"missing key {col!r}")
-        yield line, fields
+        yield line, row
 
 
 def write_comments_csv(records: Iterable[CommentRecord], sink: TextTarget) -> None:

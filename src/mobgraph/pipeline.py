@@ -149,10 +149,9 @@ def compute_clustering(
     """Model selection, both clusterings, and quality metrics for one point
     set; writes dendrogram.json when out_dir is given. Metrics that are
     undefined for the data at hand come back as None with a logged warning."""
-    k_star, scores = cluster_mod.select_k_by_silhouette(
+    k_star, scores, km = cluster_mod.select_k_by_silhouette(
         points, k_min=k_min, k_max=k_max, seed=seed, n_init=n_init
     )
-    km = cluster_mod.kmeans(points, k_star, seed=seed, n_init=n_init)
     dendrogram = cluster_mod.single_linkage(points)
     cut_scores: dict[int, float] = {}
     for k in scores:  # the k range select_k_by_silhouette resolved

@@ -9,6 +9,7 @@ Brute-force kNN is deliberate: inputs are tens of points, not millions.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -206,6 +207,117 @@ def _spectral_init(strengths: np.ndarray, n_components: int, seed: int) -> np.nd
     return embedding
 
 
+# optimize_layout's epoch loop, as source for _layout_step. The lines under
+# "for t in COMPONENTS:" are written out once per component, {t} standing
+# for its index, and {c} and {o} stand for the tuples c0, c1, ... and
+# o0, o1, ... of local floats. The firing point's coordinates stay in locals
+# through its attraction and all of its repulsions and are stored back once
+# per firing; the attracted point's are stored back before the repulsions,
+# which may draw it. Each component does the IEEE operations of a loop over
+# components, in the same order: d2 summed left to right from 0.0 (not with
+# sum(), which compensates rounding from Python 3.12 on), the same two **
+# calls, a clip by comparisons, the draws consumed in the same order.
+_LAYOUT_TEMPLATE = """\
+def layout_epochs(emb, edges, eps_attract, eps_negative, epochs, draw, a, b):
+    next_attract = list(eps_attract)
+    next_negative = list(eps_negative)
+    attract_scale = -2.0 * a * b
+    attract_power = b - 1.0
+    repel_scale = 2.0 * b
+    clip_hi = GRAD_CLIP
+    clip_lo = -GRAD_CLIP
+    isfinite = math.isfinite
+    for epoch in range(epochs):
+        alpha = 1.0 - epoch / epochs
+        for e, (i, j) in enumerate(edges):
+            if next_attract[e] > epoch:
+                continue
+            {c} = emb[i]
+            {o} = emb[j]
+            d2 = 0.0
+            for t in COMPONENTS:
+                q{t} = c{t} - o{t}
+                d2 += q{t} * q{t}
+            if d2 > 0.0:
+                coeff = attract_scale * d2 ** attract_power / (a * d2 ** b + 1.0)
+            else:
+                coeff = 0.0
+            for t in COMPONENTS:
+                g = coeff * q{t}
+                if g > clip_hi:
+                    g = clip_hi
+                elif g < clip_lo:
+                    g = clip_lo
+                step = g * alpha
+                c{t} += step
+                o{t} -= step
+            emb[j] = [{o}]
+            next_attract[e] += eps_attract[e]
+
+            n_neg = int((epoch - next_negative[e]) / eps_negative[e])
+            for _ in range(n_neg):
+                kidx = draw()
+                if kidx == i:
+                    continue
+                {o} = emb[kidx]
+                d2 = 0.0
+                for t in COMPONENTS:
+                    q{t} = c{t} - o{t}
+                    d2 += q{t} * q{t}
+                if d2 > 0.0:
+                    coeff = repel_scale / ((0.001 + d2) * (a * d2 ** b + 1.0))
+                    for t in COMPONENTS:
+                        g = coeff * q{t}
+                        if g > clip_hi:
+                            g = clip_hi
+                        elif g < clip_lo:
+                            g = clip_lo
+                        c{t} += g * alpha
+                else:
+                    for t in COMPONENTS:
+                        c{t} += clip_hi * alpha
+            next_negative[e] += n_neg * eps_negative[e]
+            emb[i] = [{c}]
+        for {c} in emb:
+            for t in COMPONENTS:
+                if not isfinite(c{t}):
+                    raise NonFiniteCoordinate(f"epoch {epoch}")
+"""
+
+
+@functools.cache
+def _layout_step(n_components: int):
+    """layout_epochs of _LAYOUT_TEMPLATE for n_components, compiled on first
+    use (as dataclasses builds __init__) and cached: it updates the list of
+    coordinate rows `emb` in place."""
+    lines = _LAYOUT_TEMPLATE.splitlines()
+    names = {key: "".join(f"{key}{t}, " for t in range(n_components))
+             for key in ("c", "o")}  # the trailing comma makes a 1-tuple
+    source: list[str] = []
+    k = 0
+    while k < len(lines):
+        line = lines[k]
+        k += 1
+        if line.strip() != "for t in COMPONENTS:":
+            source.append(line.replace("{c}", names["c"]).replace("{o}", names["o"]))
+            continue
+        depth = len(line) - len(line.lstrip())
+        body = []
+        while k < len(lines) and len(lines[k]) - len(lines[k].lstrip()) > depth:
+            body.append(lines[k][4:])
+            k += 1
+        for t in range(n_components):
+            source.extend(row.replace("{t}", str(t)) for row in body)
+    namespace = {
+        "GRAD_CLIP": GRAD_CLIP, "NonFiniteCoordinate": NonFiniteCoordinate,
+        "math": math,
+    }
+    code = compile("\n".join(source), f"<layout step, {n_components} components>",
+                   "exec")
+    exec(code, namespace)
+    return namespace["layout_epochs"]
+
+
 def optimize_layout(
     fuzzy: FuzzyGraph,
     n_components: int = 4,
@@ -214,11 +326,12 @@ def optimize_layout(
     epochs: int = 500,
     negative_rate: int = 5,
     seed: int = 0,
+    init_out: list[str] | None = None,
 ) -> np.ndarray:
     """Lay the points out in n_components dimensions.
 
     Initialization follows _layout_init_mode: spectral, or seeded uniform
-    noise in [-10, 10].
+    noise in [-10, 10]; init_out, when given a list, receives the mode.
     Attractive moves follow the per-edge schedule proportional to strength;
     each one triggers negative_rate repulsive samples; the step size decays
     linearly 1 -> 0; per-component gradients clip to [-4, 4]. Corpora with
@@ -228,6 +341,8 @@ def optimize_layout(
         raise ValueError(f"curve parameters must be positive, got a={a}, b={b}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if n_components < 1:
+        raise ValueError(f"n_components must be >= 1, got {n_components}")
     strengths = fuzzy.strengths
     n = strengths.shape[0]
     if n == 0:
@@ -239,6 +354,8 @@ def optimize_layout(
     else:
         init = _spectral_init(strengths, n_components, seed)
     logger.info("layout init: %s", init_mode)
+    if init_out is not None:
+        init_out.append(init_mode)
 
     if n <= n_components + 1:
         logger.warning(
@@ -255,77 +372,14 @@ def optimize_layout(
     heads, tails = np.nonzero(mu)
     weights = mu[heads, tails]
     eps_attract = (mx / weights).tolist()  # epochs between samples of each edge
-    next_attract = list(eps_attract)
     eps_negative = (mx / weights / negative_rate).tolist()
-    next_negative = list(eps_negative)
-    # The loop runs on Python lists and floats: the same IEEE operations in
-    # the same order as on numpy arrays, without a numpy scalar per step.
-    # Squared distances are summed left to right, not with sum(), which
-    # compensates rounding from Python 3.12 on.
     edges = list(zip(heads.tolist(), tails.tolist()))
-    attract_scale = -2.0 * a * b
-    attract_power = b - 1.0
-    repel_scale = 2.0 * b
-    components = range(n_components)
-    clip_hi = GRAD_CLIP  # locals: read on every step of the innermost loops
-    clip_lo = -GRAD_CLIP
-
     emb = init.tolist()
     rng = rng_for(seed, "layout")
     draws = buffered_draws(lambda k: rng.integers(0, n, k).tolist())
-    for epoch in range(epochs):
-        alpha = 1.0 - epoch / epochs
-        for e, (i, j) in enumerate(edges):
-            if next_attract[e] > epoch:
-                continue
-            cur = emb[i]
-            oth = emb[j]
-            d2 = 0.0
-            for t in components:
-                diff = cur[t] - oth[t]
-                d2 += diff * diff
-            if d2 > 0.0:
-                coeff = attract_scale * d2 ** attract_power / (a * d2 ** b + 1.0)
-            else:
-                coeff = 0.0
-            for t in components:
-                g = coeff * (cur[t] - oth[t])
-                if g > clip_hi:
-                    g = clip_hi
-                elif g < clip_lo:
-                    g = clip_lo
-                step = g * alpha
-                cur[t] += step
-                oth[t] -= step
-            next_attract[e] += eps_attract[e]
-
-            n_neg = int((epoch - next_negative[e]) / eps_negative[e])
-            for _ in range(n_neg):
-                kidx = next(draws)
-                if kidx == i:
-                    continue
-                oth = emb[kidx]
-                d2 = 0.0
-                for t in components:
-                    diff = cur[t] - oth[t]
-                    d2 += diff * diff
-                if d2 > 0.0:
-                    coeff = repel_scale / ((0.001 + d2) * (a * d2 ** b + 1.0))
-                    for t in components:
-                        g = coeff * (cur[t] - oth[t])
-                        if g > clip_hi:
-                            g = clip_hi
-                        elif g < clip_lo:
-                            g = clip_lo
-                        cur[t] += g * alpha
-                else:
-                    for t in components:
-                        cur[t] += clip_hi * alpha
-            next_negative[e] += n_neg * eps_negative[e]
-        for row in emb:
-            for x in row:
-                if not math.isfinite(x):
-                    raise NonFiniteCoordinate(f"epoch {epoch}")
+    _layout_step(n_components)(
+        emb, edges, eps_attract, eps_negative, epochs, draws.__next__, a, b
+    )
     return np.array(emb, dtype=np.float64)
 
 
@@ -346,6 +400,7 @@ def reduce_embeddings(
     neighbors = smooth_knn(knn_exact(points, n_neighbors))
     fuzzy = fuzzy_union(neighbors)
     a, b = fit_curve_params()
+    init_mode: list[str] = []
     coords = optimize_layout(
         fuzzy,
         n_components=n_components,
@@ -354,11 +409,12 @@ def reduce_embeddings(
         epochs=epochs,
         negative_rate=negative_rate,
         seed=seed,
+        init_out=init_mode,
     )
     info = {
         "a": a,
         "b": b,
-        "init": _layout_init_mode(fuzzy.strengths, n_components),
+        "init": init_mode[0],
         "n_neighbors": n_neighbors,
         "epochs": epochs,
         "negative_rate": negative_rate,

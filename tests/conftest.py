@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import mobgraph
 from mobgraph.graph import Graph
 
 
@@ -41,3 +45,10 @@ def permuted_copy(
     for u, v, w in graph.edges():
         out.add_edge(mapping[u], mapping[v], w)
     return out, mapping
+
+
+def fresh_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this mobgraph."""
+    src = str(Path(mobgraph.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -11,8 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import fresh_env
 
-import mobgraph
 from mobgraph import embed as embed_mod
 from mobgraph import gexf as gexf_mod
 from mobgraph import pipeline as pipeline_mod
@@ -156,13 +156,6 @@ def default_run_modules(corpus_dir, tmp_path_factory):
         env=fresh_env(), capture_output=True, text=True, check=True,
     )
     return done.stdout.splitlines()[-1].split()
-
-
-def fresh_env():
-    """The environment for a child interpreter that imports this mobgraph."""
-    src = str(Path(mobgraph.__file__).parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_default_run_loads_no_scipy(default_run_modules):

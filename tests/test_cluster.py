@@ -8,6 +8,7 @@ from scipy.cluster.hierarchy import linkage as scipy_linkage
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist
 
+from mobgraph import cluster as cluster_mod
 from mobgraph.cluster import (
     Dendrogram,
     adjusted_rand_index,
@@ -168,10 +169,32 @@ def test_silhouette_single_cluster_rejected():
 def test_select_k_finds_planted_two_blobs():
     rng = np.random.default_rng(6)
     points, _ = make_blobs(rng, k=2, per=10, dim=4, sep=12.0)
-    best_k, scores = select_k_by_silhouette(points, k_min=2, k_max=6, seed=0)
+    best_k, scores, _fit = select_k_by_silhouette(points, k_min=2, k_max=6, seed=0)
     assert best_k == 2
     assert set(scores) == {2, 3, 4, 5, 6}
     assert best_k == max(scores, key=lambda k: (scores[k], -k))
+
+
+def test_selected_k_is_fitted_once(monkeypatch):
+    from mobgraph.pipeline import compute_clustering
+
+    points, _ = make_blobs(np.random.default_rng(8), k=3, per=6, dim=4)
+    best_k, _scores, fit = select_k_by_silhouette(points, k_max=5, seed=3, n_init=4)
+    direct = kmeans(points, best_k, seed=3, n_init=4)
+    assert np.array_equal(fit.labels, direct.labels)
+    assert fit.inertia == direct.inertia
+
+    fitted = []
+
+    def counting_kmeans(points, k, seed=0, n_init=10):
+        fitted.append(k)
+        return kmeans(points, k, seed=seed, n_init=n_init)
+
+    monkeypatch.setattr(cluster_mod, "kmeans", counting_kmeans)
+    result = compute_clustering(points, [f"ch{i}" for i in range(18)], k_max=5,
+                                seed=3, n_init=4)
+    assert fitted == [2, 3, 4, 5]  # once per k, the selected one included
+    assert result["kmeans"]["selected_k"] == best_k
 
 
 def test_select_k_invalid_range():

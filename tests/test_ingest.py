@@ -192,6 +192,59 @@ def test_trailing_blank_line_skipped_in_both_formats():
         assert parse_comments(data, format=format) == expected, format
 
 
+def test_csv_and_json_lines_give_equal_records():
+    rows = [
+        {"channel_id": "c1", "video_id": "v1", "commenter_id": "u1",
+         "comment_id": "m1", "published_at": "2020-05-05", "text": "hi, \"you\""},
+        {"channel_id": "c1", "video_id": "v2", "commenter_id": "u1",
+         "comment_id": "m2", "published_at": "", "text": ""},
+        {"channel_id": "c2", "video_id": "v1", "commenter_id": "u2",
+         "comment_id": "m3", "published_at": "", "text": "x"},
+        {"channel_id": "c2", "video_id": "v9", "commenter_id": "u3",
+         "comment_id": "m1", "published_at": "", "text": ""},  # a duplicate
+    ]
+    # Columns in another order, published_at absent from both tables.
+    columns = ["text", "comment_id", "commenter_id", "video_id", "channel_id"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([[row[col] for col in columns] for row in rows])
+    jsonl = "".join(json.dumps({col: row[col] for col in columns}) + "\n"
+                    for row in rows)
+    from_csv = parse_comments(buf.getvalue().encode(), format="csv")
+    assert from_csv == parse_comments(jsonl.encode(), format="json-lines")
+    assert from_csv == [
+        CommentRecord("c1", "v1", "u1", "m1", None, "hi, \"you\""),
+        CommentRecord("c1", "v2", "u1", "m2"),
+        CommentRecord("c2", "v1", "u2", "m3", None, "x"),
+    ]
+    # All six columns.
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [list(rows[0])] + [list(row.values()) for row in rows])
+    jsonl = "".join(json.dumps(row) + "\n" for row in rows)
+    from_csv = parse_comments(buf.getvalue().encode(), format="csv")
+    assert from_csv == parse_comments(jsonl.encode(), format="json-lines")
+    assert from_csv[0].published_at == "2020-05-05"
+    assert len(from_csv) == 3
+
+
+def test_repeated_bad_commenter_fails_at_its_first_line():
+    rows = [("c1", "v1", "u1", "m1"), ("c1", "v1", "u\x01", "m2"),
+            ("c1", "v2", "u\x01", "m3")]
+    messages = {}
+    for format in ("csv", "json-lines"):
+        data = comment_table(rows, format)
+        if format == "json-lines":
+            data = b"\n" + data  # a blank first line: rows on the CSV's line numbers
+        with pytest.raises(MalformedRow) as err:
+            parse_comments(data, format=format)
+        assert err.value.line == 3, format
+        messages[format] = str(err.value)
+    assert messages["csv"] == messages["json-lines"]
+    assert "commenter_id 'u\\x01' holds a character" in messages["csv"]
+
+
 def test_csv_round_trip_through_writer():
     records = [
         rec("c1", "v1", "u1", "m1"),

@@ -1,9 +1,12 @@
 import io
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from conftest import fresh_env
 
 from mobgraph import reduce as reduce_mod
 from mobgraph.errors import TooFewPoints
@@ -312,6 +315,21 @@ def test_layout_init_spectral_when_connected(caplog):
     assert "layout init: spectral" in caplog.messages
 
 
+def test_reduce_reports_the_init_mode_the_layout_used(monkeypatch):
+    modes = []
+
+    def counted(strengths, n_components):
+        modes.append(layout_init_mode(strengths, n_components))
+        return modes[-1]
+
+    layout_init_mode = reduce_mod._layout_init_mode
+    monkeypatch.setattr(reduce_mod, "_layout_init_mode", counted)
+    points = np.random.default_rng(24).normal(0.0, 1.0, (20, 16))
+    _, info = reduce_embeddings(points, n_components=4, epochs=5, seed=0)
+    assert modes == ["spectral"]  # one connectivity sweep per reduction
+    assert info["init"] == "spectral"
+
+
 def test_layout_skips_tiny_corpus(caplog):
     strengths = np.zeros((4, 4))
     strengths[0, 1] = strengths[1, 0] = 1.0
@@ -427,7 +445,7 @@ def assert_matches_reference(fuzzy, n_components, negative_rate, epochs=60, seed
     assert ours.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("n_components", [2, 4])
+@pytest.mark.parametrize("n_components", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("negative_rate", [1, 5])
 @pytest.mark.parametrize("init", ["random", "spectral"])
 def test_layout_matches_reference(init, n_components, negative_rate):
@@ -461,6 +479,36 @@ def test_layout_matches_reference_on_coincident_points(monkeypatch):
     fuzzy = fuzzy_for(two_blobs(np.random.default_rng(46), separation=100.0))
     for n_components in (2, 4):
         assert_matches_reference(fuzzy, n_components, 5)
+
+
+def test_layout_step_is_built_on_first_use_and_reused():
+    """Importing the module compiles no step; the first layout for a number
+    of components compiles one, and the next layout reuses it."""
+    script = """
+import numpy as np
+from mobgraph import reduce
+from mobgraph.reduce import FuzzyGraph, optimize_layout
+
+assert reduce._layout_step.cache_info().currsize == 0
+strengths = np.random.default_rng(0).random((12, 12))
+strengths = (strengths + strengths.T) / 2
+np.fill_diagonal(strengths, 0.0)
+first = optimize_layout(FuzzyGraph(strengths), n_components=3, epochs=5)
+step = reduce._layout_step(3)
+second = optimize_layout(FuzzyGraph(strengths), n_components=3, epochs=5)
+info = reduce._layout_step.cache_info()
+assert (info.misses, info.currsize) == (1, 1), info
+assert reduce._layout_step(3) is step
+assert first.tobytes() == second.tobytes()
+"""
+    done = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_layout_rejects_no_components():
+    with pytest.raises(ValueError, match="n_components"):
+        optimize_layout(FuzzyGraph(np.ones((8, 8))), n_components=0)
 
 
 # --- persistence -------------------------------------------------------------------
