@@ -8,6 +8,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from .errors import CliqueBudgetExceeded, MissingLabel
 from .graph import Graph
 from .textio import TextTarget, open_text
@@ -33,25 +35,27 @@ class SuspiciousnessRanking:
     per_cluster: dict[int, list[tuple[str, int, int]]]
 
 
-def _degeneracy_order(graph: Graph) -> list[str]:
-    """Repeatedly remove a minimum-degree node (ties toward the smaller id).
+def _degeneracy_order(graph: Graph) -> list[int]:
+    """Node positions, repeatedly removing a minimum-degree node (ties toward
+    the smaller position, which is the smaller id).
 
-    A heap of (remaining degree, id) with lazy deletion (Matula & Beck 1983):
-    a removal pushes each neighbour's lowered key, and an entry whose degree
-    is no longer its node's current one is skipped when popped.
+    A heap of (remaining degree, position) with lazy deletion (Matula & Beck
+    1983): a removal pushes each neighbour's lowered key, and an entry whose
+    degree is no longer its node's current one is skipped when popped.
     """
-    degree = {u: graph.degree(u) for u in graph.nodes()}
-    heap = [(d, u) for u, d in degree.items()]
+    indptr = graph.indptr.tolist()
+    degree = np.diff(graph.indptr).tolist()  # -1 once removed
+    heap = list(zip(degree, range(graph.n_nodes)))
     heapq.heapify(heap)
-    order: list[str] = []
+    order: list[int] = []
     while heap:
         d, u = heapq.heappop(heap)
-        if degree.get(u) != d:
+        if degree[u] != d:
             continue  # stale: u is already removed, or its degree has dropped
         order.append(u)
-        del degree[u]
-        for v in graph.neighbors(u):
-            if v in degree:
+        degree[u] = -1
+        for v in graph.indices[indptr[u]:indptr[u + 1]].tolist():
+            if degree[v] >= 0:
                 degree[v] -= 1
                 heapq.heappush(heap, (degree[v], v))
     return order
@@ -61,7 +65,7 @@ def _each_maximal_clique(
     graph: Graph, budget: int | None, emit: Callable[[int], object]
 ) -> None:
     """Call emit(members) once per maximal clique, members a bitset whose bit
-    i is the i-th node of graph.nodes().
+    i is node i, graph.ids[i].
 
     Bron-Kerbosch over a degeneracy ordering with Tomita pivoting, on Python
     ints: each node's neighbourhood and the sets P (candidates), X (excluded)
@@ -71,9 +75,10 @@ def _each_maximal_clique(
     the traversal is deterministic. budget caps emissions; None disables the
     cap.
     """
-    nodes = graph.nodes()
-    index = {u: i for i, u in enumerate(nodes)}
-    adj = [sum(1 << index[v] for v in graph.neighbors(u)) for u in nodes]
+    indptr, n = graph.indptr.tolist(), graph.n_nodes
+    adj = [int.from_bytes(np.packbits(np.bincount(graph.indices[start:stop], minlength=n) > 0,
+                                      bitorder="little"), "little")
+           for start, stop in zip(indptr, indptr[1:])]
     emitted = 0
 
     def expand(r: int, p: int, x: int) -> None:
@@ -106,8 +111,7 @@ def _each_maximal_clique(
             x |= low
 
     done = 0  # nodes whose own search has run: excluded from later ones
-    for u in _degeneracy_order(graph):
-        i = index[u]
+    for i in _degeneracy_order(graph):
         expand(1 << i, adj[i] & ~done, adj[i] & done)
         done |= 1 << i
 
@@ -117,11 +121,10 @@ def maximal_cliques(
 ) -> list[frozenset[str]]:
     """Every maximal clique exactly once, as frozensets of node ids.
     budget caps emissions; None disables the cap."""
-    nodes = graph.nodes()
     found: list[frozenset[str]] = []
 
     def collect(members: int) -> None:
-        found.append(frozenset(u for i, u in enumerate(nodes) if members >> i & 1))
+        found.append(frozenset(u for i, u in enumerate(graph.ids) if members >> i & 1))
 
     _each_maximal_clique(graph, budget, collect)
     return found

@@ -199,7 +199,8 @@ def train_embeddings(
                 grad_tokens += rows
                 tokenvecs[idx] = grad_tokens
             else:  # a repeated row must take its updates one after another
-                np.add.at(tokenvecs, idx, grad_tokens)
+                for token, grad in zip(idx.tolist(), grad_tokens):
+                    tokenvecs[token] += grad
             grad_doc *= lr
             doc_vec += grad_doc
             update += 1

@@ -7,7 +7,9 @@ nodes and edges are written in sorted order with a fixed layout.
 from __future__ import annotations
 
 import io
+import math
 import xml.etree.ElementTree as ET
+from bisect import bisect_left
 from typing import IO, Iterable, Iterator
 
 from .errors import DirectedGraphUnsupported, MalformedGexf
@@ -40,18 +42,21 @@ def _write_block(out: IO[str], tag: str, empty: bool, children: Iterable[str]) -
     out.write(f"    </{tag}>\n")
 
 
-def _edge_lines(graph: Graph, ids: dict[str, str]) -> Iterator[str]:
+def _edge_lines(graph: Graph, ids: list[str]) -> Iterator[str]:
     """One string per node: the lines of its edges to later nodes, in
-    graph.edges() order; ids maps each node to its escaped id."""
+    graph.edges() order; ids holds each node's escaped id."""
+    indptr = graph.indptr.tolist()
     idx = 0
-    for u, source in ids.items():
-        later = sorted(v for v in graph.neighbors(u) if v > u)
+    for u, source in enumerate(ids):
+        row = graph.indices[indptr[u]:indptr[u + 1]].tolist()
+        first = bisect_left(row, u)  # where the later neighbours start
+        weights = graph.weights[indptr[u] + first:indptr[u + 1]].tolist()
         yield "".join(
             f'      <edge id="{idx + i}" source="{source}" target="{ids[v]}" '
-            f'weight="{_format_weight(graph.weight(u, v))}" />\n'
-            for i, v in enumerate(later)
+            f'weight="{_format_weight(w)}" />\n'
+            for i, (v, w) in enumerate(zip(row[first:], weights))
         )
-        idx += len(later)
+        idx += len(weights)
 
 
 def write_gexf(graph: Graph, sink: TextTarget) -> None:
@@ -61,7 +66,7 @@ def write_gexf(graph: Graph, sink: TextTarget) -> None:
     node's lines are held at a time."""
     name = graph.name.translate(_TEXT_ESCAPES)
     description = f"<description>{name}</description>" if name else "<description />"
-    ids = {nid: nid.translate(_ATTR_ESCAPES) for nid in graph.nodes()}
+    ids = [nid.translate(_ATTR_ESCAPES) for nid in graph.ids]
     with open_text(sink, "w") as out:
         out.write(
             "<?xml version='1.0' encoding='utf-8'?>\n"
@@ -70,7 +75,7 @@ def write_gexf(graph: Graph, sink: TextTarget) -> None:
             '  <graph defaultedgetype="undirected" mode="static">\n'
         )
         _write_block(out, "nodes", not ids,
-                     (f'      <node id="{nid}" label="{nid}" />\n' for nid in ids.values()))
+                     (f'      <node id="{nid}" label="{nid}" />\n' for nid in ids))
         _write_block(out, "edges", graph.n_edges == 0, _edge_lines(graph, ids))
         out.write("  </graph>\n</gexf>\n")
 
@@ -104,15 +109,18 @@ def read_gexf(source: Source) -> Graph:
             f"defaultedgetype={edge_type!r}; only undirected graphs are supported"
         )
 
-    graph = Graph(name)
+    declared: set[str] = set()
     for node_el in graph_el.iterfind("{*}nodes/{*}node"):
         nid = node_el.get("id")
         if nid is None:
             raise MalformedGexf("node without id")
-        if graph.has_node(nid):
+        if nid in declared:
             raise MalformedGexf(f"duplicate node id {nid!r}")
-        graph.add_node(nid)
+        declared.add(nid)
+    ids = sorted(declared)
+    position = dict(zip(ids, range(len(ids))))
 
+    edges: dict[tuple[int, int], float] = {}  # by node positions, ascending
     for edge_el in graph_el.iterfind("{*}edges/{*}edge"):
         if edge_el.get("type", "undirected") != "undirected":
             raise DirectedGraphUnsupported(
@@ -122,18 +130,20 @@ def read_gexf(source: Source) -> Graph:
         v = edge_el.get("target")
         if u is None or v is None:
             raise MalformedGexf("edge missing source or target")
-        if not graph.has_node(u) or not graph.has_node(v):
+        if u not in position or v not in position:
             raise MalformedGexf(f"edge references undeclared node: {u!r}-{v!r}")
         if u == v:
             raise MalformedGexf(f"self-loop on node {u!r}")
-        if graph.has_edge(u, v):
+        pair = tuple(sorted((position[u], position[v])))
+        if pair in edges:
             raise MalformedGexf(f"duplicate edge {u!r}-{v!r}")
         raw = edge_el.get("weight", "1")
         try:
             weight = float(raw)
         except ValueError:
             raise MalformedGexf(f"non-numeric weight {raw!r}") from None
-        if not weight > 0:
-            raise MalformedGexf(f"non-positive weight {raw!r}")
-        graph.add_edge(u, v, weight)
-    return graph
+        if not 0 < weight < math.inf:
+            raise MalformedGexf(f"weight {raw!r} is not positive and finite")
+        edges[pair] = weight
+    rows = sorted((u, v, weight) for (u, v), weight in edges.items())
+    return Graph(name, ids, *zip(*rows))

@@ -1,83 +1,112 @@
 """Undirected weighted graph used throughout the pipeline.
 
-Nodes are string ids (commenter ids). Edges carry a positive integer-valued
-weight (number of shared videos). Self-loops are rejected. Each node maps
-its neighbours to the edge weights, so an edge is stored under both of its
-endpoints and lookups are orientation-free.
+Nodes are string ids (commenter ids) in sorted order; node i is ids[i].
+Edges carry a positive, finite weight (number of shared videos). The
+adjacency is in CSR form: indices[indptr[i]:indptr[i + 1]] holds the
+positions of i's neighbours in ascending order, and the same slice of
+weights their edge weights. An edge is stored in the rows of both of its
+endpoints, so lookups are orientation-free. A graph is immutable.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterator
+from bisect import bisect_left
+from typing import Sequence
+
+import numpy as np
 
 
 class Graph:
-    """Mutable undirected graph with weighted edges and string node ids."""
+    """Immutable undirected graph with weighted edges and string node ids."""
 
-    def __init__(self, name: str = ""):
+    def __init__(self, name: str = "", ids: Sequence[str] = (), u: Sequence[int] = (),
+                 v: Sequence[int] = (), weights: Sequence[float] = ()):
+        """The graph on ids, distinct and in sorted() order, with an edge
+        (ids[u[k]], ids[v[k]]) of weight weights[k] for each k: pairs of
+        node positions u < v, in ascending (u, v) order."""
         self.name = name
-        self._adj: dict[str, dict[str, float]] = {}
-
-    # --- construction ---------------------------------------------------
-
-    def add_node(self, u: str) -> None:
-        if u not in self._adj:
-            self._adj[u] = {}
-
-    def add_edge(self, u: str, v: str, weight: float = 1.0) -> None:
-        if u == v:
-            raise ValueError(f"self-loop rejected: {u!r}")
-        if weight <= 0:
-            raise ValueError(f"edge weight must be positive, got {weight}")
-        self.add_node(u)
-        self.add_node(v)
-        self._adj[u][v] = self._adj[v][u] = float(weight)
+        self.ids = tuple(ids)
+        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
+            raise ValueError("node ids must be distinct and in sorted order")
+        n = len(self.ids)
+        u, v = np.asarray(u, dtype=np.int32), np.asarray(v, dtype=np.int32)
+        weights = np.asarray(weights, dtype=np.float64)
+        if not u.shape == v.shape == weights.shape == (len(u),):
+            raise ValueError("u, v and weights must be 1-D and of one length")
+        if len(u) and not (u.min() >= 0 and v.max() < n and (u < v).all()
+                           and (np.diff(u.astype(np.int64) * n + v) > 0).all()):
+            raise ValueError("edges must be distinct pairs of node positions u < v, "
+                             "in ascending order")
+        if not (np.isfinite(weights) & (weights > 0)).all():
+            raise ValueError("edge weights must be positive and finite")
+        # A counting fill: row i holds its earlier neighbours (the u of each
+        # edge whose v is i), then its later ones. An edge's slot in a row is
+        # its rank in (u, v) order, or in stable v order on the earlier side,
+        # shifted by the slots that the rows up to it hold on the other side.
+        earlier, later = np.bincount(v, minlength=n), np.bincount(u, minlength=n)
+        self.indptr = np.concatenate([[0], np.cumsum(earlier + later)])
+        self.indices = np.empty(2 * len(u), dtype=np.int32)
+        self.weights = np.empty(2 * len(u), dtype=np.float64)
+        slots = np.cumsum(earlier)[u] + np.arange(len(u))
+        self.indices[slots], self.weights[slots] = v, weights
+        by_v = np.argsort(v, kind="stable")
+        slots = (np.cumsum(later) - later)[v[by_v]] + np.arange(len(u))
+        self.indices[slots], self.weights[slots] = u[by_v], weights[by_v]
+        for array in (self.indptr, self.indices, self.weights):
+            array.flags.writeable = False
 
     # --- queries ----------------------------------------------------------
 
+    def _row(self, u: str) -> dict[str, float]:
+        """u's neighbours, in sorted order, mapped to the edge weights."""
+        i = bisect_left(self.ids, u)
+        if self.ids[i:i + 1] != (u,):
+            raise KeyError(u)
+        row = slice(self.indptr[i], self.indptr[i + 1])
+        return dict(zip([self.ids[j] for j in self.indices[row].tolist()],
+                        self.weights[row].tolist()))
+
     def has_node(self, u: str) -> bool:
-        return u in self._adj
+        i = bisect_left(self.ids, u)
+        return self.ids[i:i + 1] == (u,)
 
     def has_edge(self, u: str, v: str) -> bool:
-        return v in self._adj.get(u, ())
+        return self.has_node(u) and v in self._row(u)
 
     def weight(self, u: str, v: str) -> float:
-        return self._adj[u][v]
+        return self._row(u)[v]
 
-    def neighbors(self, u: str) -> AbstractSet[str]:
-        """A read-only, live set view of u's neighbours."""
-        return self._adj[u].keys()
+    def neighbors(self, u: str) -> list[str]:
+        """u's neighbours in sorted order."""
+        return list(self._row(u))
 
     def degree(self, u: str) -> int:
-        return len(self._adj[u])
+        return len(self._row(u))
 
     def nodes(self) -> list[str]:
         """Node ids in sorted order."""
-        return sorted(self._adj)
+        return list(self.ids)
 
     def edges(self) -> list[tuple[str, str, float]]:
         """(u, v, weight) triples, u < v, sorted lexicographically."""
-        return sorted(
-            (u, v, w) for u, nbrs in self._adj.items() for v, w in nbrs.items() if u < v
-        )
+        return [(u, v, w) for u in self.ids for v, w in self._row(u).items() if u < v]
 
     @property
     def n_nodes(self) -> int:
-        return len(self._adj)
+        return len(self.ids)
 
     @property
     def n_edges(self) -> int:
-        return sum(map(len, self._adj.values())) // 2
+        return len(self.indices) // 2
 
     # --- comparison ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj == other._adj
+        return self.ids == other.ids and all(map(
+            np.array_equal, (self.indptr, self.indices, self.weights),
+            (other.indptr, other.indices, other.weights)))
 
     def __repr__(self) -> str:
         return f"Graph(name={self.name!r}, nodes={self.n_nodes}, edges={self.n_edges})"
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.nodes())

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import IO, Iterable
 
+import numpy as np
+
 from .errors import DuplicateCommentId, EmptyChannel, MalformedRow, MissingColumn
 from .graph import Graph
 from .textio import Source, TextTarget, open_text
@@ -202,21 +204,29 @@ def build_co_commenter_graph(
     if not selected:
         raise EmptyChannel(channel)
 
-    commenters_by_video: dict[str, set[str]] = {}
-    for r in selected:
-        commenters_by_video.setdefault(r.video_id, set()).add(r.commenter_id)
+    # Each commenter's code is its rank in sorted id order. A (video,
+    # commenter) pair is one int64 key, video-major, so the sorted distinct
+    # keys hold each video's commenters as one ascending run.
+    commenters = sorted({r.commenter_id for r in selected})
+    n = len(commenters)
+    code = dict(zip(commenters, range(n)))
+    videos: dict[str, int] = {}
+    pairs = {videos.setdefault(r.video_id, len(videos)) * n + code[r.commenter_id]
+             for r in selected}
+    video, commenter = np.divmod(np.sort(np.fromiter(pairs, np.int64, len(pairs))), n)
+    _, firsts, sizes = np.unique(video, return_index=True, return_counts=True)
 
-    shared: dict[str, dict[str, int]] = {}  # shared[u][v], u < v
-    for commenters in commenters_by_video.values():
-        group = sorted(commenters)
-        for i, u in enumerate(group):
-            row = shared.setdefault(u, {})
-            for v in group[i + 1:]:
-                row[v] = row.get(v, 0) + 1
-
-    graph = Graph(name)
-    for u, row in shared.items():
-        for v, count in row.items():
-            if count >= min_shared_videos:
-                graph.add_edge(u, v, float(count))
-    return graph
+    # Every co-commenting pair u < v of every video, one group size at a time.
+    keys = [np.empty(0, dtype=np.int64)]
+    for size in sorted(set(sizes[sizes > 1].tolist())):
+        group = commenter[firsts[sizes == size, None] + np.arange(size)]
+        u, v = np.triu_indices(size, 1)
+        keys.append((group[:, u] * n + group[:, v]).ravel())
+    keys, shared = np.unique(np.concatenate(keys), return_counts=True)
+    kept = shared >= min_shared_videos
+    u, v = np.divmod(keys[kept], n)
+    del keys
+    # A commenter left without an edge is not a node.
+    nodes = np.flatnonzero(np.bincount(np.concatenate([u, v]), minlength=n))
+    u, v = (np.searchsorted(nodes, end).astype(np.int32) for end in (u, v))
+    return Graph(name, [commenters[i] for i in nodes.tolist()], u, v, shared[kept])

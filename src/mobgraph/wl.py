@@ -18,7 +18,6 @@ start state, after its own label and "|", as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -55,8 +54,9 @@ class GraphDocument:
 
 
 def initial_labels(graph: Graph) -> dict[str, str]:
-    """Seed labeling: every node labeled by its decimal degree."""
-    return {u: str(graph.degree(u)) for u in graph.nodes()}
+    """Seed labeling: every node labeled by its decimal degree, in node
+    order."""
+    return dict(zip(graph.ids, map(str, np.diff(graph.indptr).tolist())))
 
 
 def _length_groups(texts: list[str]):
@@ -106,21 +106,17 @@ class _NeighbourIndex:
     with more than k neighbours are always a prefix of that order."""
 
     def __init__(self, graph: Graph):
-        self.nodes = graph.nodes()
-        position = {u: i for i, u in enumerate(self.nodes)}
-        degrees = np.fromiter(map(graph.degree, self.nodes), np.int64, len(self.nodes))
+        degrees = np.diff(graph.indptr)
         self.order = np.argsort(-degrees, kind="stable")
         self.degrees = degrees[self.order]
-        self.starts = np.zeros(len(self.nodes), dtype=np.int64)
-        np.cumsum(self.degrees[:-1], out=self.starts[1:])
+        self.starts = np.cumsum(self.degrees) - self.degrees
         # folding[k]: how many nodes have more than k neighbours
-        max_degree = int(self.degrees[0]) if len(self.nodes) else 0
+        max_degree = self.degrees.max(initial=0)
         self.folding = np.searchsorted(-self.degrees, -np.arange(max_degree), "left")
-        ordered = [self.nodes[i] for i in self.order.tolist()]
-        self.neighbours = np.fromiter(
-            map(position.__getitem__, chain.from_iterable(map(graph.neighbors, ordered))),
-            np.int32, int(self.degrees.sum()),
-        )
+        # Each row, gathered from where it sits among the graph's rows.
+        slots = np.repeat(graph.indptr[self.order] - self.starts, self.degrees)
+        slots += np.arange(len(slots))
+        self.neighbours = graph.indices[slots]
 
     def _sort_rows(self, slot_rank: np.ndarray) -> None:
         """Sort every node's row in place: rows of one degree sit side by
@@ -160,8 +156,7 @@ class _NeighbourIndex:
 
 def wl_iteration(graph: Graph, labels: dict[str, str]) -> dict[str, str]:
     """One refinement round: hash own label with sorted neighbor labels."""
-    index = _NeighbourIndex(graph)
-    return dict(zip(index.nodes, index.refine([labels[u] for u in index.nodes])))
+    return dict(zip(graph.ids, _NeighbourIndex(graph).refine([labels[u] for u in graph.ids])))
 
 
 def extract_document(graph: Graph, iterations: int = 2) -> GraphDocument:
@@ -173,8 +168,7 @@ def extract_document(graph: Graph, iterations: int = 2) -> GraphDocument:
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     index = _NeighbourIndex(graph)
-    seed = initial_labels(graph)
-    labels = [seed[v] for v in index.nodes]
+    labels = list(initial_labels(graph).values())
     tokens = [f"0_{label}" for label in labels]
     for t in range(1, iterations + 1):
         labels = index.refine(labels)

@@ -1,4 +1,5 @@
-"""Shared helpers: random graph construction with a seeded generator."""
+"""Shared helpers: graphs from edge lists, and random graph construction with
+a seeded generator."""
 
 from __future__ import annotations
 
@@ -11,6 +12,16 @@ import mobgraph
 from mobgraph.graph import Graph
 
 
+def make_graph(edges=(), name: str = "", nodes=()) -> Graph:
+    """The graph with these (u, v) or (u, v, weight) edges, weight 1 when
+    left out, over their endpoints and any further nodes."""
+    edges = [(u, v, rest[0] if rest else 1.0) for u, v, *rest in edges]
+    ids = sorted({*nodes, *(u for u, _, _ in edges), *(v for _, v, _ in edges)})
+    position = {u: i for i, u in enumerate(ids)}
+    rows = sorted((*sorted((position[u], position[v])), w) for u, v, w in edges)
+    return Graph(name, ids, *zip(*rows))
+
+
 def random_graph(
     rng: np.random.Generator,
     n: int,
@@ -19,16 +30,14 @@ def random_graph(
     max_weight: int = 1,
 ) -> Graph:
     """Erdos-Renyi graph over nodes n00..n{n-1}; all nodes present."""
-    graph = Graph(name)
     ids = [f"n{i:02d}" for i in range(n)]
-    for nid in ids:
-        graph.add_node(nid)
+    edges = []
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < edge_prob:
                 weight = 1 if max_weight <= 1 else int(rng.integers(1, max_weight + 1))
-                graph.add_edge(ids[i], ids[j], float(weight))
-    return graph
+                edges.append((ids[i], ids[j], float(weight)))
+    return make_graph(edges, name, nodes=ids)
 
 
 def permuted_copy(
@@ -39,12 +48,8 @@ def permuted_copy(
     shuffled = list(nodes)
     rng.shuffle(shuffled)
     mapping = dict(zip(nodes, shuffled))
-    out = Graph(name)
-    for u in nodes:
-        out.add_node(mapping[u])
-    for u, v, w in graph.edges():
-        out.add_edge(mapping[u], mapping[v], w)
-    return out, mapping
+    edges = [(mapping[u], mapping[v], w) for u, v, w in graph.edges()]
+    return make_graph(edges, name, nodes=shuffled), mapping
 
 
 def fresh_env() -> dict[str, str]:

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist
 from xml.etree import ElementTree as ET
 
-from conftest import permuted_copy, random_graph
+from conftest import make_graph, permuted_copy, random_graph
 from mobgraph.cli import main
 from mobgraph.cliques import clique_census, maximal_cliques
 from mobgraph.cluster import (
@@ -37,7 +37,6 @@ from mobgraph.embed import (
     train_embeddings,
 )
 from mobgraph.gexf import read_gexf, write_gexf
-from mobgraph.graph import Graph
 from mobgraph.ingest import build_co_commenter_graph, channels_in
 from mobgraph.pipeline import PipelineConfig, run_pipeline, strip_timings
 from mobgraph.reduce import (
@@ -276,17 +275,11 @@ def test_criterion_5_single_linkage_correctness():
 
 
 def _cycle(n, name):
-    g = Graph(name)
-    for i in range(n):
-        g.add_edge(f"v{i}", f"v{(i + 1) % n}")
-    return g
+    return make_graph([(f"v{i}", f"v{(i + 1) % n}") for i in range(n)], name)
 
 
 def _star(n_leaves, name):
-    g = Graph(name)
-    for i in range(n_leaves):
-        g.add_edge("hub", f"leaf{i}")
-    return g
+    return make_graph([("hub", f"leaf{i}") for i in range(n_leaves)], name)
 
 
 def test_criterion_6_embedding_separation_and_gradients():

@@ -16,7 +16,7 @@ from mobgraph.graph import Graph
 from mobgraph.ingest import build_co_commenter_graph
 from mobgraph.pipeline import PipelineConfig, RunState, count_cliques, start_census
 
-from conftest import permuted_copy, random_graph
+from conftest import make_graph, permuted_copy, random_graph
 
 
 def exhaustive_maximal_cliques(graph):
@@ -100,11 +100,16 @@ def assert_matches_reference(graph):
 
 
 def complete_graph(n):
-    g = Graph("k")
-    for i in range(n):
-        for j in range(i + 1, n):
-            g.add_edge(f"n{i}", f"n{j}")
-    return g
+    return make_graph([(f"n{i}", f"n{j}") for i in range(n) for j in range(i + 1, n)], "k")
+
+
+def with_isolated(graph, *ids):
+    """graph with further nodes, none of them adjacent to any other."""
+    return make_graph(graph.edges(), graph.name, nodes=[*graph.nodes(), *ids])
+
+
+def degeneracy_ids(graph):
+    return [graph.ids[i] for i in _degeneracy_order(graph)]
 
 
 # --- enumeration -------------------------------------------------------------------
@@ -115,15 +120,13 @@ def test_degeneracy_order_matches_reference():
     for trial in range(60):
         n = int(rng.integers(1, 40))
         graph = random_graph(rng, n, float(rng.choice([0.05, 0.2, 0.5, 0.9])))
-        for i in range(int(rng.integers(0, 4))):
-            graph.add_node(f"z{i}")  # isolated nodes, after every n-node
-        assert _degeneracy_order(graph) == reference_degeneracy_order(graph), trial
+        # isolated nodes, after every n-node
+        graph = with_isolated(graph, *(f"z{i}" for i in range(int(rng.integers(0, 4)))))
+        assert degeneracy_ids(graph) == reference_degeneracy_order(graph), trial
     # Regular graphs: every step is a degree tie, broken by id.
-    assert _degeneracy_order(complete_graph(7)) == sorted(complete_graph(7).nodes())
-    cycle = Graph("cycle")
-    for i in range(9):
-        cycle.add_edge(f"c{i}", f"c{(i + 1) % 9}")
-    assert _degeneracy_order(cycle) == reference_degeneracy_order(cycle)
+    assert _degeneracy_order(complete_graph(7)) == list(range(7))
+    cycle = make_graph([(f"c{i}", f"c{(i + 1) % 9}") for i in range(9)], "cycle")
+    assert degeneracy_ids(cycle) == reference_degeneracy_order(cycle)
 
 
 def test_complete_graph_single_clique():
@@ -132,18 +135,13 @@ def test_complete_graph_single_clique():
 
 
 def test_triangle_with_pendant():
-    g = Graph("g")
-    g.add_edge("a", "b")
-    g.add_edge("b", "c")
-    g.add_edge("a", "c")
-    g.add_edge("a", "d")
+    g = make_graph([("a", "b"), ("b", "c"), ("a", "c"), ("a", "d")], "g")
     assert set(maximal_cliques(g)) == {frozenset("abc"), frozenset("ad")}
 
 
 def test_empty_and_isolated():
     assert list(maximal_cliques(Graph("empty"))) == []
-    g = Graph("iso")
-    g.add_node("solo")
+    g = make_graph(name="iso", nodes=["solo"])
     assert list(maximal_cliques(g)) == [frozenset({"solo"})]
 
 
@@ -174,13 +172,9 @@ def test_relabel_invariance():
 
 def test_budget_cap():
     # complete 3-partite K(2,2,2): eight maximal triangles
-    g = Graph("parts")
     parts = [("a0", "a1"), ("b0", "b1"), ("c0", "c1")]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for u in parts[i]:
-                for v in parts[j]:
-                    g.add_edge(u, v)
+    g = make_graph([(u, v) for i in range(3) for j in range(i + 1, 3)
+                    for u in parts[i] for v in parts[j]], "parts")
     assert len(list(maximal_cliques(g))) == 8
     with pytest.raises(CliqueBudgetExceeded):
         list(maximal_cliques(g, budget=3))
@@ -199,8 +193,7 @@ def test_isolated_commenters_are_size_one_cliques():
         n_channels=4, videos_per_channel=10, organic_commenters=20))
     graph = build_co_commenter_graph(records, "ch00")
     assert 1 not in clique_census(graph, min_size=1).histogram
-    for i in range(3):
-        graph.add_node(f"lone{i:02d}")
+    graph = with_isolated(graph, *(f"lone{i:02d}" for i in range(3)))
     assert_matches_reference(graph)
     census = clique_census(graph, min_size=1)
     assert census.histogram[1] == 3
@@ -254,11 +247,7 @@ def test_count_cliques_same_census_for_one_and_two_threads(tmp_path):
 # --- census ------------------------------------------------------------------------
 
 def test_census_counts_and_histogram():
-    g = Graph("ch01")
-    g.add_edge("a", "b")
-    g.add_edge("b", "c")
-    g.add_edge("a", "c")
-    g.add_edge("a", "d")
+    g = make_graph([("a", "b"), ("b", "c"), ("a", "c"), ("a", "d")], "ch01")
     census = clique_census(g, min_size=3)
     assert census.channel_id == "ch01"
     assert census.count == 1

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import make_graph
 from mobgraph.embed import (
     EmbeddingMatrix,
     Vocabulary,
@@ -17,7 +18,6 @@ from mobgraph.embed import (
     write_embeddings_csv,
 )
 from mobgraph.errors import EmptyVocabulary, ZeroVector
-from mobgraph.graph import Graph
 from mobgraph.seeding import rng_for
 from mobgraph.wl import GraphDocument, extract_document
 
@@ -27,18 +27,11 @@ def doc(gid, tokens):
 
 
 def cycle_graph(n, name):
-    g = Graph(name)
-    ids = [f"v{i}" for i in range(n)]
-    for i in range(n):
-        g.add_edge(ids[i], ids[(i + 1) % n])
-    return g
+    return make_graph([(f"v{i}", f"v{(i + 1) % n}") for i in range(n)], name)
 
 
 def star_graph(n_leaves, name):
-    g = Graph(name)
-    for i in range(n_leaves):
-        g.add_edge("hub", f"leaf{i}")
-    return g
+    return make_graph([("hub", f"leaf{i}") for i in range(n_leaves)], name)
 
 
 # --- vocabulary -----------------------------------------------------------------

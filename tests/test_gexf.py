@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import make_graph, random_graph
 from mobgraph.errors import DirectedGraphUnsupported, MalformedGexf
 from mobgraph.gexf import read_gexf, write_gexf
 from mobgraph.graph import Graph
@@ -55,15 +55,11 @@ def hostile_string(rng: np.random.Generator) -> str:
 
 
 def hostile_graph(rng: np.random.Generator) -> Graph:
-    graph = Graph(hostile_string(rng))
+    name = hostile_string(rng)
     ids = sorted({hostile_string(rng) for _ in range(int(rng.integers(0, 9)))})
-    for nid in ids:
-        graph.add_node(nid)
-    for i, u in enumerate(ids):
-        for v in ids[i + 1:]:
-            if rng.random() < 0.4:
-                graph.add_edge(u, v, float(rng.choice([1.0, 3.0, 2.5, 0.1, 1e-7])))
-    return graph
+    edges = [(u, v, float(rng.choice([1.0, 3.0, 2.5, 0.1, 1e-7])))
+             for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < 0.4]
+    return make_graph(edges, name, nodes=ids)
 
 
 def test_bytes_match_elementtree_writer_on_hostile_graphs(tmp_path):
@@ -95,18 +91,14 @@ def test_empty_graph_round_trip():
 
 
 def test_triangle_weights_preserved():
-    g = Graph("tri")
-    g.add_edge("a", "b", 1.0)
-    g.add_edge("b", "c", 2.0)
-    g.add_edge("a", "c", 3.0)
+    g = make_graph([("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 3.0)], "tri")
     back = round_trip(g)
     assert back == g
     assert back.weight("b", "c") == 2.0
 
 
 def test_non_integer_weight_round_trip():
-    g = Graph("w")
-    g.add_edge("a", "b", 2.5)
+    g = make_graph([("a", "b", 2.5)], "w")
     assert round_trip(g).weight("a", "b") == 2.5
 
 
@@ -135,8 +127,7 @@ def test_write_is_byte_deterministic(tmp_path):
 
 def test_failed_write_leaves_old_file_and_no_temp_file(tmp_path, monkeypatch):
     path = tmp_path / "chan.gexf"
-    old = Graph("old")
-    old.add_edge("a", "b")
+    old = make_graph([("a", "b")], "old")
     write_gexf(old, path)
     before = path.read_bytes()
 
@@ -144,8 +135,7 @@ def test_failed_write_leaves_old_file_and_no_temp_file(tmp_path, monkeypatch):
         raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", fail)
-    new = Graph("new")
-    new.add_edge("c", "d")
+    new = make_graph([("c", "d")], "new")
     with pytest.raises(OSError, match="rename failed"):
         write_gexf(new, path)
     assert path.read_bytes() == before
@@ -153,8 +143,7 @@ def test_failed_write_leaves_old_file_and_no_temp_file(tmp_path, monkeypatch):
 
 
 def test_gexf_structure_markers():
-    g = Graph("chan")
-    g.add_edge("a", "b", 2.0)
+    g = make_graph([("a", "b", 2.0)], "chan")
     buf = io.BytesIO()
     write_gexf(g, buf)
     text = buf.getvalue().decode("utf-8")
@@ -224,7 +213,12 @@ def test_directed_edge_rejected():
      b"<nodes><node id='x'/><node id='y'/></nodes>"
      b"<edges><edge id='0' source='x' target='y' weight='abc'/></edges></graph></gexf>",
      "non-numeric"),
+    *((b"<gexf><graph defaultedgetype='undirected'>"
+       b"<nodes><node id='x'/><node id='y'/></nodes>"
+       b"<edges><edge id='0' source='x' target='y' weight='" + weight + b"'/></edges>"
+       b"</graph></gexf>", "not positive and finite")
+      for weight in (b"1e400", b"inf", b"nan", b"0", b"-2.5")),
 ])
 def test_malformed_documents(doc, detail):
-    with pytest.raises(MalformedGexf):
+    with pytest.raises(MalformedGexf, match=detail):
         read_gexf(doc)

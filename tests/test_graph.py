@@ -1,26 +1,57 @@
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import make_graph, random_graph
 from mobgraph.graph import Graph
 
 
 def test_self_loop_rejected():
-    g = Graph()
-    with pytest.raises(ValueError):
-        g.add_edge("a", "a")
+    with pytest.raises(ValueError, match="distinct pairs of node positions u < v"):
+        Graph("g", ["a", "b"], [0, 1], [1, 1], [1.0, 1.0])
 
 
 def test_nonpositive_weight_rejected():
-    g = Graph()
-    with pytest.raises(ValueError):
-        g.add_edge("a", "b", 0.0)
+    for weight in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Graph("g", ["a", "b", "c"], [0, 1], [1, 2], [1.0, weight])
+
+
+@pytest.mark.parametrize("weight", ["inf", "-inf", "nan", "1e400"])
+def test_nonfinite_weight_rejected(weight):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Graph("g", ["a", "b", "c"], [0, 1], [1, 2], [1.0, float(weight)])
+
+
+@pytest.mark.parametrize("u,v", [([0, 0], [1, 1]), ([0, 1], [1, 0])])
+def test_pair_given_twice_rejected(u, v):
+    with pytest.raises(ValueError, match="distinct pairs of node positions u < v"):
+        Graph("g", ["a", "b", "c"], [*u, 1], [*v, 2], [1.0, 3.0, 1.0])
+
+
+def test_pairs_out_of_order_rejected():
+    with pytest.raises(ValueError, match="in ascending order"):
+        Graph("g", ["a", "b", "c"], [1, 0], [2, 1], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("ids", [["b", "a"], ["a", "a"]])
+def test_ids_must_be_distinct_and_sorted(ids):
+    with pytest.raises(ValueError, match="sorted"):
+        Graph("g", ids)
+
+
+@pytest.mark.parametrize("u,v", [([0], [2]), ([-1], [0])])
+def test_endpoint_outside_the_nodes_rejected(u, v):
+    with pytest.raises(ValueError, match="node positions"):
+        Graph("g", ["a", "b"], u, v, [1.0])
+
+
+def test_arrays_of_one_length_required():
+    with pytest.raises(ValueError, match="one length"):
+        Graph("g", ["a", "b", "c"], [0, 1], [1, 2], [1.0])
 
 
 def test_edge_is_orientation_free():
-    g = Graph()
-    g.add_edge("a", "b", 1.0)
-    g.add_edge("b", "a", 3.0)  # re-added reversed: one edge, the new weight
+    g = make_graph([("b", "a", 3.0)])
     assert g.has_edge("a", "b") and g.has_edge("b", "a")
     assert g.weight("a", "b") == g.weight("b", "a") == 3.0
     assert g.n_edges == 1
@@ -28,33 +59,54 @@ def test_edge_is_orientation_free():
 
 
 def test_equality_ignores_insertion_order():
-    g1 = Graph("x")
-    g1.add_edge("a", "b", 1.0)
-    g1.add_edge("b", "c", 2.0)
-    g2 = Graph("x")
-    g2.add_edge("c", "b", 2.0)
-    g2.add_edge("b", "a", 1.0)
+    g1 = make_graph([("a", "b", 1.0), ("b", "c", 2.0)], "x")
+    g2 = make_graph([("c", "b", 2.0), ("b", "a", 1.0)], "x")
     assert g1 == g2
+    assert g1 != make_graph([("a", "b", 1.0), ("b", "c", 3.0)], "x")
+    assert g1 != make_graph([("a", "b", 1.0), ("b", "c", 2.0)], "x", nodes=["d"])
 
 
 def test_degree_and_neighbors():
-    g = Graph()
-    g.add_edge("a", "b")
-    g.add_edge("a", "c")
+    g = make_graph([("a", "c"), ("a", "b")], nodes=["z"])
     assert g.degree("a") == 2
-    assert g.neighbors("a") == {"b", "c"}
+    assert g.neighbors("a") == ["b", "c"]
     assert g.degree("b") == 1
+    assert g.degree("z") == 0 and g.neighbors("z") == []
+    assert not g.has_edge("a", "z") and not g.has_edge("a", "ghost")
+    with pytest.raises(KeyError):
+        g.weight("b", "c")
 
 
-def test_neighbors_is_a_read_only_live_view():
-    g = Graph()
-    g.add_edge("a", "b")
-    view = g.neighbors("a")
-    assert not hasattr(view, "add")
-    g.add_edge("a", "c")
-    assert view == {"b", "c"}
-    assert view & {"c", "d"} == {"c"}
-    assert sorted(view) == ["b", "c"]
+def test_arrays_are_read_only():
+    g = make_graph([("a", "b")])
+    for array in (g.indptr, g.indices, g.weights):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_empty_graph():
+    g = Graph("empty")
+    assert g.ids == () and g.n_nodes == g.n_edges == 0
+    assert g.indptr.tolist() == [0] and g.indices.size == g.weights.size == 0
+    assert g.edges() == []
+
+
+def test_rows_hold_sorted_neighbour_positions_and_weights():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        n = int(rng.integers(1, 25))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        weights = rng.integers(1, 9, size=len(pairs)).astype(float)
+        ids = [f"n{i:02d}" for i in range(n)]
+        g = Graph("g", ids, [i for i, _ in pairs], [j for _, j in pairs], weights)
+        expected = {i: {} for i in range(n)}
+        for (i, j), w in zip(pairs, weights.tolist()):
+            expected[i][j] = expected[j][i] = w
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+        for i in range(n):
+            row = slice(g.indptr[i], g.indptr[i + 1])
+            assert g.indices[row].tolist() == sorted(expected[i])
+            assert g.weights[row].tolist() == [expected[i][j] for j in sorted(expected[i])]
 
 
 def test_random_graphs_consistent_degrees():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mobgraph.cliques import clique_census
 from mobgraph.errors import (
     DuplicateCommentId,
     EmptyChannel,
@@ -12,6 +13,7 @@ from mobgraph.errors import (
     MissingColumn,
     MobgraphError,
 )
+from mobgraph.gexf import read_gexf, write_gexf
 from mobgraph.ingest import (
     CommentRecord,
     build_co_commenter_graph,
@@ -19,6 +21,7 @@ from mobgraph.ingest import (
     parse_comments,
     write_comments_csv,
 )
+from mobgraph.wl import extract_document
 
 
 def rec(channel, video, commenter, cid):
@@ -263,6 +266,81 @@ def test_channels_in_sorted_unique():
 
 
 # --- graph construction ---------------------------------------------------------
+
+def reference_co_commenter_graph(records, channel, min_shared_videos=1):
+    """The dict-of-dicts counting loop the array build replaced, as each
+    node's neighbour-to-weight map; a node is a commenter with an edge."""
+    selected = [r for r in records if channel is None or r.channel_id == channel]
+    commenters_by_video = {}
+    for r in selected:
+        commenters_by_video.setdefault(r.video_id, set()).add(r.commenter_id)
+    shared = {}  # shared[u][v], u < v
+    for commenters in commenters_by_video.values():
+        group = sorted(commenters)
+        for i, u in enumerate(group):
+            row = shared.setdefault(u, {})
+            for v in group[i + 1:]:
+                row[v] = row.get(v, 0) + 1
+    adjacency = {}
+    for u, row in shared.items():
+        for v, count in row.items():
+            if count >= min_shared_videos:
+                adjacency.setdefault(u, {})[v] = float(count)
+                adjacency.setdefault(v, {})[u] = float(count)
+    return adjacency
+
+
+def assert_matches_reference(graph, adjacency):
+    """Node by node: the ids, each row's neighbours in order, and their
+    weights."""
+    assert graph.nodes() == sorted(adjacency)
+    for i, u in enumerate(graph.ids):
+        row = slice(graph.indptr[i], graph.indptr[i + 1])
+        neighbours = sorted(adjacency[u])
+        assert [graph.ids[j] for j in graph.indices[row].tolist()] == neighbours
+        assert graph.weights[row].tolist() == [adjacency[u][v] for v in neighbours]
+        assert graph.neighbors(u) == neighbours
+
+
+def random_corpus(rng, n_records):
+    """Two channels drawing from one pool of video ids, so that merged mode
+    joins a video across channels, and commenters who comment on one video
+    more than once."""
+    return [rec(f"c{rng.integers(2)}", f"v{rng.integers(12)}",
+                f"u{rng.integers(25):02d}", f"m{k}") for k in range(n_records)]
+
+
+@pytest.mark.parametrize("min_shared_videos", [1, 2, 3])
+def test_array_build_matches_the_reference(min_shared_videos):
+    rng = np.random.default_rng(100 + min_shared_videos)
+    for trial in range(40):
+        records = random_corpus(rng, int(rng.integers(1, 300)))
+        for channel in (*channels_in(records), None):
+            graph = build_co_commenter_graph(records, channel, min_shared_videos)
+            assert_matches_reference(
+                graph, reference_co_commenter_graph(records, channel, min_shared_videos))
+
+
+def test_merged_mode_joins_a_video_id_across_channels():
+    records = [rec("c1", "v1", "A", "m1"), rec("c2", "v1", "B", "m2"),
+               rec("c2", "v1", "B", "m3")]
+    merged = build_co_commenter_graph(records, None)
+    assert merged.edges() == [("A", "B", 1.0)]
+    assert_matches_reference(merged, reference_co_commenter_graph(records, None))
+    assert build_co_commenter_graph(records, "c2").n_nodes == 0
+
+
+def test_channel_without_shared_videos_is_an_empty_graph(tmp_path):
+    records = [rec("c", f"v{k}", f"u{k}", f"m{k}") for k in range(5)]
+    records.append(rec("c", "v0", "u0", "again"))
+    graph = build_co_commenter_graph(records, "c")
+    assert graph.n_nodes == graph.n_edges == 0
+    assert graph.indptr.tolist() == [0]
+    assert extract_document(graph).tokens == []
+    census = clique_census(graph, min_size=1)
+    assert (census.count, census.histogram) == (0, {})
+    write_gexf(graph, tmp_path / "c.gexf")
+    assert read_gexf(tmp_path / "c.gexf") == graph
 
 def test_single_video_triangle():
     records = [rec("c", "v1", u, f"m{u}") for u in "ABC"]

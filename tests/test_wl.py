@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import permuted_copy, random_graph
+from conftest import make_graph, permuted_copy, random_graph
 from mobgraph.graph import Graph
 from mobgraph.wl import (
     _FNV_PRIME,
@@ -16,19 +16,12 @@ from mobgraph.wl import (
 )
 
 
-def path_graph(*names):
-    g = Graph("path")
-    for a, b in zip(names, names[1:]):
-        g.add_edge(a, b)
-    return g
+def path_graph(*names, isolated=()):
+    return make_graph(zip(names, names[1:]), "path", nodes=isolated)
 
 
 def triangle():
-    g = Graph("k3")
-    g.add_edge("a", "b")
-    g.add_edge("b", "c")
-    g.add_edge("a", "c")
-    return g
+    return make_graph([("a", "b"), ("b", "c"), ("a", "c")], "k3")
 
 
 # --- hash ----------------------------------------------------------------------
@@ -69,8 +62,7 @@ def test_part_table_folds_a_chunk_from_any_state():
 # --- initial labels -------------------------------------------------------------
 
 def test_isolated_node_labeled_zero():
-    g = Graph()
-    g.add_node("solo")
+    g = make_graph(nodes=["solo"])
     assert initial_labels(g) == {"solo": "0"}
 
 
@@ -138,10 +130,8 @@ def test_refinement_is_monotone():
 
 
 def test_edge_weights_do_not_enter_the_labels():
-    light = Graph("light")
-    light.add_edge("a", "b", 1.0)
-    heavy = Graph("heavy")
-    heavy.add_edge("a", "b", 8.0)
+    light = make_graph([("a", "b", 1.0)], "light")
+    heavy = make_graph([("a", "b", 8.0)], "heavy")
     assert wl_iteration(light, initial_labels(light)) == wl_iteration(
         heavy, initial_labels(heavy))
 
@@ -167,13 +157,12 @@ def reference_document(graph, iterations):
 
 def edge_cases():
     empty = Graph("empty")
-    single = Graph("single")
-    single.add_node("only")
-    isolated = path_graph("A", "B", "C", "D")
-    isolated.add_node("Z")
-    mixed = Graph("mixed")  # fractional weights
-    for i, w in enumerate([0.25, 0.3, 1.0, 1.9999, 2.0, 3.5, 1024.0, 1e-9]):
-        mixed.add_edge(f"m{i}", f"m{(i * 3 + 1) % 8}", w)
+    single = make_graph(name="single", nodes=["only"])
+    isolated = path_graph("A", "B", "C", "D", isolated=["Z"])
+    mixed = make_graph(  # fractional weights
+        [(f"m{i}", f"m{(i * 3 + 1) % 8}", w)
+         for i, w in enumerate([0.25, 0.3, 1.0, 1.9999, 2.0, 3.5, 1024.0, 1e-9])],
+        "mixed")
     return [empty, single, isolated, triangle(), mixed]
 
 
