@@ -129,11 +129,12 @@ def silhouette_score(points, labels) -> float:
     points = _as_points(points)
     labels = np.asarray(labels, dtype=np.int64)
     n = points.shape[0]
-    clusters = np.unique(labels)
+    # return_counts keeps np.unique from importing numpy.ma (numpy 2.4)
+    clusters, counts = np.unique(labels, return_counts=True)
     if clusters.shape[0] < 2:
         raise SingleCluster()
     dist = _pairwise(points)
-    sizes = {int(c): int((labels == c).sum()) for c in clusters}
+    sizes = dict(zip(clusters.tolist(), counts.tolist()))
     total = 0.0
     for i in range(n):
         own = int(labels[i])
@@ -281,7 +282,7 @@ def davies_bouldin(points, labels) -> float:
     """Mean over clusters of the worst (S_i + S_j) / dist(centroid_i, centroid_j)."""
     points = _as_points(points)
     labels = np.asarray(labels, dtype=np.int64)
-    clusters = np.unique(labels)
+    clusters, _ = np.unique(labels, return_counts=True)  # see silhouette_score
     k = clusters.shape[0]
     if k < 2:
         raise SingleCluster()

@@ -162,6 +162,10 @@ def test_default_run_loads_no_scipy(default_run_modules):
     assert [m for m in default_run_modules if m.startswith("scipy")] == []
 
 
+def test_default_run_loads_no_numpy_ma(default_run_modules):
+    assert "numpy.ma" not in default_run_modules
+
+
 def test_stages_run_where_scipy_cannot_be_imported(corpus_dir, tmp_path):
     shadow = tmp_path / "shadow" / "scipy"
     shadow.mkdir(parents=True)
@@ -463,6 +467,8 @@ def test_workers_die_with_a_killed_parent(corpus_dir, tmp_path):
 # Run by a child interpreter: a pipeline whose WL results are padded far past
 # what a pipe holds, and whose first one interrupts the run 10 ms into being
 # sent. A worker killed then would leave the pool reading the rest for ever.
+# The parent holds that result back, when it unpickles it, until its SIGINT
+# handler has run, so the run cannot finish wl and reach embed first.
 LARGE_RESULT_RUN = """
 import os, signal, sys, threading
 from mobgraph import pipeline
@@ -470,6 +476,15 @@ from mobgraph.cli import main
 
 run_task = pipeline._run_task
 PADDING = bytes(32 << 20)
+handled = threading.Event()
+
+def on_interrupt(signum, frame):
+    handled.set()
+    signal.default_int_handler(signum, frame)
+
+def once_interrupted():
+    handled.wait(10)
+    return 0
 
 class Interrupt:
     def __reduce__(self):  # pickled after the padding, just before the send
@@ -478,7 +493,7 @@ class Interrupt:
         except FileExistsError:
             return int, ()
         threading.Timer(0.01, os.kill, (os.getppid(), signal.SIGINT)).start()
-        return int, ()
+        return once_interrupted, ()
 
 def padded_document_task(fn, channel, kwargs):
     result = run_task(fn, channel, kwargs)
@@ -488,6 +503,7 @@ def padded_document_task(fn, channel, kwargs):
 
 pipeline._run_task = padded_document_task
 pipeline._usable_cpus = lambda: 2
+signal.signal(signal.SIGINT, on_interrupt)
 sys.exit(main(["pipeline", "--input", sys.argv[2], "--out", sys.argv[3],
                "--threads", "2"]))
 """

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from mobgraph import synth
+from mobgraph import cliques as cliques_mod
 from mobgraph.cliques import (
+    LOCAL_ROWS_MIN_NODES,
     _degeneracy_order,
+    _global_rows,
+    _local_rows,
+    _search,
     clique_census,
     maximal_cliques,
     rank_channels,
@@ -43,8 +48,8 @@ def exhaustive_maximal_cliques(graph):
 
 
 def reference_degeneracy_order(graph):
-    """The O(n^2) order the heap replaced: min() over every remaining node
-    per step, ties toward the smaller id."""
+    """An O(n^2) smallest-last order for the set-based reference: min() over
+    every remaining node per step, ties toward the smaller id."""
     remaining = {u: set(graph.neighbors(u)) for u in graph.nodes()}
     order = []
     while remaining:
@@ -114,7 +119,7 @@ def degeneracy_ids(graph):
 
 # --- enumeration -------------------------------------------------------------------
 
-def test_degeneracy_order_matches_reference():
+def test_degeneracy_order_is_smallest_last():
     rng = np.random.default_rng(11)
     assert _degeneracy_order(Graph("empty")) == []
     for trial in range(60):
@@ -122,11 +127,18 @@ def test_degeneracy_order_matches_reference():
         graph = random_graph(rng, n, float(rng.choice([0.05, 0.2, 0.5, 0.9])))
         # isolated nodes, after every n-node
         graph = with_isolated(graph, *(f"z{i}" for i in range(int(rng.integers(0, 4)))))
-        assert degeneracy_ids(graph) == reference_degeneracy_order(graph), trial
-    # Regular graphs: every step is a degree tie, broken by id.
+        order = _degeneracy_order(graph)
+        assert sorted(order) == list(range(graph.n_nodes)), trial
+        remaining = {u: set(graph.neighbors(u)) for u in graph.nodes()}
+        for u in (graph.ids[i] for i in order):
+            assert len(remaining[u]) == min(map(len, remaining.values())), trial
+            for v in remaining.pop(u):
+                remaining[v].discard(u)
+    # Regular graphs: every step is a degree tie. Bucket peeling starts from
+    # position order and lists a node's neighbours as their degrees drop.
     assert _degeneracy_order(complete_graph(7)) == list(range(7))
     cycle = make_graph([(f"c{i}", f"c{(i + 1) % 9}") for i in range(9)], "cycle")
-    assert degeneracy_ids(cycle) == reference_degeneracy_order(cycle)
+    assert degeneracy_ids(cycle) == ["c0", "c1", "c8", "c2", "c7", "c3", "c6", "c4", "c5"]
 
 
 def test_complete_graph_single_clique():
@@ -170,16 +182,102 @@ def test_relabel_invariance():
     assert ours == set(maximal_cliques(h))
 
 
+def search_histogram(graph, rows, budget=None):
+    """Census histogram from one subproblem path, called directly."""
+    histogram = {}
+
+    def tally(members, universe):
+        histogram[members.bit_count()] = histogram.get(members.bit_count(), 0) + 1
+
+    _search(rows(graph, _degeneracy_order(graph)), budget, tally, graph.name)
+    return dict(sorted(histogram.items()))
+
+
+def search_cliques(graph, rows):
+    """Maximal cliques as frozensets of ids from one subproblem path."""
+    found = []
+
+    def collect(members, universe):
+        found.append(frozenset(graph.ids[universe[i]] for i in range(len(universe))
+                               if members >> i & 1))
+
+    _search(rows(graph, _degeneracy_order(graph)), None, collect, graph.name)
+    return found
+
+
+@pytest.mark.parametrize("rows", [_global_rows, _local_rows])
+def test_each_row_path_matches_set_based_reference(rows):
+    rng = np.random.default_rng(37)
+    for trial in range(40):
+        n = int(rng.integers(1, 45))
+        p = float(rng.choice([0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]))
+        graph = with_isolated(random_graph(rng, n, p, name=f"g{trial}"),
+                              *(f"z{i}" for i in range(int(rng.integers(0, 3)))))
+        expected = list(reference_maximal_cliques(graph))
+        ours = search_cliques(graph, rows)
+        assert len(ours) == len(expected) and set(ours) == set(expected), trial
+    assert search_cliques(Graph("empty"), rows) == []
+
+
+def test_local_rows_match_global_rows_on_synthetic_channels():
+    records, _ = synth.generate_corpus(synth.two_family_config(
+        n_channels=4, videos_per_channel=12, organic_commenters=25))
+    graphs = [build_co_commenter_graph(records, channel)
+              for channel in [None, *sorted({r.channel_id for r in records})]]
+    for graph in [*graphs, random_graph(np.random.default_rng(38), 60, 0.6)]:
+        assert search_histogram(graph, _local_rows) == search_histogram(graph, _global_rows)
+
+
+def test_width_selects_the_row_path(monkeypatch):
+    seen = []
+    for name in ("_global_rows", "_local_rows"):
+        inner = getattr(cliques_mod, name)
+        monkeypatch.setattr(cliques_mod, name,
+                            lambda graph, order, name=name, inner=inner:
+                            seen.append(name) or inner(graph, order))
+    narrow = random_graph(np.random.default_rng(39), 20, 0.5)
+    wide = make_graph([(f"u{i:04d}", f"u{i + 1:04d}") for i in range(LOCAL_ROWS_MIN_NODES - 1)])
+    assert clique_census(narrow).histogram == search_histogram(narrow, _local_rows)
+    assert clique_census(wide).histogram == {2: LOCAL_ROWS_MIN_NODES - 1}
+    assert set(maximal_cliques(wide)) == {frozenset((u, v)) for u, v, _ in wide.edges()}
+    assert seen == ["_global_rows", "_local_rows", "_local_rows"]
+
+
 def test_budget_cap():
-    # complete 3-partite K(2,2,2): eight maximal triangles
-    parts = [("a0", "a1"), ("b0", "b1"), ("c0", "c1")]
-    g = make_graph([(u, v) for i in range(3) for j in range(i + 1, 3)
-                    for u in parts[i] for v in parts[j]], "parts")
+    g = octahedron()
     assert len(list(maximal_cliques(g))) == 8
     with pytest.raises(CliqueBudgetExceeded):
         list(maximal_cliques(g, budget=3))
     with pytest.raises(CliqueBudgetExceeded):
         clique_census(g, min_size=3, budget=7)
+
+
+def octahedron():
+    """K(2,2,2): eight maximal triangles."""
+    parts = [("a0", "a1"), ("b0", "b1"), ("c0", "c1")]
+    return make_graph([(u, v) for i in range(3) for j in range(i + 1, 3)
+                       for u in parts[i] for v in parts[j]], "parts")
+
+
+# On both row paths, these graphs emit cliques from every place the search
+# closes one without a call: a P emptied by moving its members to R, a leaf,
+# a P of one member, and a P of two members, adjacent or not; and they emit
+# cliques after the candidate loop's X early exit.
+@pytest.mark.parametrize("rows", [_global_rows, _local_rows])
+@pytest.mark.parametrize("graph", [
+    make_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")], "path"),
+    octahedron(),
+    random_graph(np.random.default_rng(86), 12, 0.6, name="mixed"),
+], ids=["path", "octahedron", "mixed"])
+def test_budget_trips_at_each_clique_closed_in_place(graph, rows):
+    total = sum(search_histogram(graph, rows).values())
+    assert total == len(list(reference_maximal_cliques(graph)))
+    for budget in range(total):
+        with pytest.raises(CliqueBudgetExceeded) as err:
+            search_histogram(graph, rows, budget)
+        assert err.value.budget == budget
+        assert f"'{graph.name}'" in str(err.value)
+    assert sum(search_histogram(graph, rows, total).values()) == total
 
 
 def test_matches_set_based_reference_on_dense_graphs():
