@@ -3,7 +3,6 @@ quality metrics used for model selection and validation."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,8 @@ def _as_points(points) -> np.ndarray:
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"points must be 2-d, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("points must be finite, got a NaN or infinite coordinate")
     return arr
 
 
@@ -134,19 +135,22 @@ def silhouette_score(points, labels) -> float:
     if clusters.shape[0] < 2:
         raise SingleCluster()
     dist = _pairwise(points)
-    sizes = dict(zip(clusters.tolist(), counts.tolist()))
+    # Each point's summed distance to each cluster's members. A contiguous
+    # copy of the columns sums each row in the order dist[i, members].sum() does.
+    sums = np.stack(
+        [np.ascontiguousarray(dist[:, labels == c]).sum(axis=1) for c in clusters], axis=1
+    )
+    rows = np.arange(n)
+    own = np.searchsorted(clusters, labels)
+    means = sums / counts
+    means[rows, own] = np.inf
     total = 0.0
-    for i in range(n):
-        own = int(labels[i])
-        if sizes[own] == 1:
+    for own_sum, b, size in zip(
+        sums[rows, own].tolist(), means.min(axis=1).tolist(), counts[own].tolist()
+    ):
+        if size == 1:
             continue  # contributes 0
-        a = dist[i, labels == own].sum() / (sizes[own] - 1)
-        b = math.inf
-        for c in clusters:
-            c = int(c)
-            if c == own:
-                continue
-            b = min(b, dist[i, labels == c].mean())
+        a = own_sum / (size - 1)
         peak = max(a, b)
         if peak > 0.0:
             total += (b - a) / peak
@@ -191,40 +195,34 @@ def single_linkage(points) -> Dendrogram:
     n = points.shape[0]
     if n < 2:
         raise TooFewPoints(n, 1)
-    dist = _pairwise(points)
-    cluster_dist: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            cluster_dist[(i, j)] = float(dist[i, j])
-    sizes = {i: 1 for i in range(n)}
-    active = set(range(n))
+    ids = 2 * n - 1
+    # Distances between cluster ids, and the pairs i < j of them that no
+    # merge has used up. Step `new` searches the ids formed so far, below
+    # it. Used pairs are masked, not set to inf: a live distance may be inf.
+    dist = np.zeros((ids, ids), dtype=np.float64)
+    dist[:n, :n] = _pairwise(points)
+    live = np.triu(np.ones((ids, ids), dtype=bool), k=1)
+    sizes = [1] * n
     merges: list[tuple[int, int, float, int]] = []
-    next_id = n
-    for _ in range(n - 1):
-        best = min(cluster_dist.items(), key=lambda kv: (kv[1], kv[0]))
-        (left, right), height = best
-        size = sizes[left] + sizes[right]
-        merges.append((left, right, height, size))
-        active.discard(left)
-        active.discard(right)
-        for other in active:
-            d_left = cluster_dist.pop((min(left, other), max(left, other)))
-            d_right = cluster_dist.pop((min(right, other), max(right, other)))
-            cluster_dist[(other, next_id)] = min(d_left, d_right)
-        del cluster_dist[(left, right)]
-        sizes[next_id] = size
-        active.add(next_id)
-        next_id += 1
+    for new in range(n, ids):
+        formed, pairs = dist[:new, :new], live[:new, :new]
+        height = formed[pairs].min()
+        # the first live cell holding it in row-major order: the smallest pair
+        left, right = divmod(int(np.argmax(pairs & (formed == height))), new)
+        sizes.append(sizes[left] + sizes[right])
+        merges.append((left, right, float(height), sizes[new]))
+        dist[new] = dist[:, new] = np.minimum(dist[left], dist[right])
+        live[[left, right]] = live[:, [left, right]] = False
     return Dendrogram(n_leaves=n, merges=merges)
 
 
-def _leaf_sets(dendrogram: Dendrogram, upto: int) -> list[set[int]]:
-    """Cluster membership after applying the first `upto` merges."""
-    n = dendrogram.n_leaves
-    sets: dict[int, set[int]] = {i: {i} for i in range(n)}
-    for m, (left, right, _h, _size) in enumerate(dendrogram.merges[:upto]):
-        sets[n + m] = sets.pop(left) | sets.pop(right)
-    return list(sets.values())
+def _members(dendrogram: Dendrogram) -> list[list[int]]:
+    """The leaf ids of every cluster id: each leaf's own, then each merge's
+    left members followed by its right ones."""
+    members = [[i] for i in range(dendrogram.n_leaves)]
+    for left, right, _height, _size in dendrogram.merges:
+        members.append(members[left] + members[right])
+    return members
 
 
 def cut_tree(dendrogram: Dendrogram, k: int) -> np.ndarray:
@@ -232,12 +230,14 @@ def cut_tree(dendrogram: Dendrogram, k: int) -> np.ndarray:
     n = dendrogram.n_leaves
     if not 1 <= k <= n:
         raise InvalidK(k, n)
-    groups = _leaf_sets(dendrogram, n - k)
+    merged = {side for left, right, _h, _size in dendrogram.merges[: n - k]
+              for side in (left, right)}
+    groups = [group for c, group in enumerate(_members(dendrogram)[: 2 * n - k])
+              if c not in merged]
     groups.sort(key=min)
     labels = np.empty(n, dtype=np.int64)
     for c, group in enumerate(groups):
-        for leaf in group:
-            labels[leaf] = c
+        labels[group] = c
     return labels
 
 
@@ -245,14 +245,10 @@ def cophenetic_distances(dendrogram: Dendrogram) -> np.ndarray:
     """(n, n) matrix of first-common-merge heights."""
     n = dendrogram.n_leaves
     coph = np.zeros((n, n), dtype=np.float64)
-    members: dict[int, set[int]] = {i: {i} for i in range(n)}
-    for m, (left, right, height, _size) in enumerate(dendrogram.merges):
-        left_set = members.pop(left)
-        right_set = members.pop(right)
-        for i in left_set:
-            for j in right_set:
-                coph[i, j] = coph[j, i] = height
-        members[n + m] = left_set | right_set
+    members = _members(dendrogram)
+    for left, right, height, _size in dendrogram.merges:
+        coph[np.ix_(members[left], members[right])] = height
+        coph[np.ix_(members[right], members[left])] = height
     return coph
 
 

@@ -71,8 +71,8 @@ def parse_comments(
                 raise MalformedRow(line, "empty or missing video_id")
             if not commenter:
                 raise MalformedRow(line, "empty or missing commenter_id")
-            if comment_id is None:
-                raise MalformedRow(line, "missing comment_id")
+            if not comment_id:
+                raise MalformedRow(line, "empty or missing comment_id")
             if channel not in channels_ok:
                 _check_channel(line, channel)
                 channels_ok.add(channel)

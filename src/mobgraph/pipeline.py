@@ -14,7 +14,6 @@ produce byte-identical artifacts except timings.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import logging
 import os
 import signal
@@ -268,37 +267,24 @@ def _run_task(fn: Callable, channel: str | None, kwargs: dict) -> object:
     return _run_channel(_worker_state, fn, channel, kwargs)
 
 
-class _Deferred:
-    """The pending result of a call made in this process when it is read."""
-
-    def __init__(self, fn: Callable, *args, **kwargs):
-        self._call = functools.partial(fn, *args, **kwargs)
-
-    def result(self) -> object:
-        return self._call()
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _map_channels(state: RunState, fn: Callable, **kwargs) -> list:
-    """One pending result of fn(graph, **kwargs) per channel, in channel
-    order; `.result()` waits for it. Each task builds its channel's graph.
-    fn is a module-level function, sent to the run's workers by name (see
-    RunState.workers). Without workers each call runs here, when its result
-    is read. Read in order, the results raise the error of the first failing
-    channel, as a serial run does."""
+def _map_channels(state: RunState, fn: Callable, **kwargs) -> Callable[[], list]:
+    """Start fn(graph, **kwargs) on every channel; return a call that waits
+    for the results and returns them in channel order. Each task builds its
+    channel's graph. fn is a module-level function, sent to the run's
+    workers by name (see RunState.workers). Without workers the tasks run
+    here, when the returned call is made. Either way the call raises the
+    error of the first failing channel, as a serial run does."""
     pool = state.workers()
     if pool is None:
-        return [_Deferred(_run_channel, state, fn, c, kwargs) for c in state.channels]
-    return [pool.submit(_run_task, fn, c, kwargs) for c in state.channels]
-
-
-def _gather(pending: list) -> list:
-    return [result.result() for result in pending]
+        return lambda: [_run_channel(state, fn, c, kwargs) for c in state.channels]
+    pending = [pool.submit(_run_task, fn, c, kwargs) for c in state.channels]
+    return lambda: [future.result() for future in pending]
 
 
 def strip_timings(report: dict) -> dict:
@@ -330,7 +316,7 @@ class RunState:
     coords: object = None  # (n_channels, umap_components) array
     reduce_info: dict = field(default_factory=dict)
     clustering: dict = field(default_factory=dict)
-    pending_censuses: list = field(default_factory=list)  # from _map_channels
+    pending_censuses: Callable[[], list] | None = None  # from _map_channels
     censuses: list[cliques_mod.CliqueCensus] = field(default_factory=list)
     ranking: cliques_mod.SuspiciousnessRanking | None = None
     timings: dict[str, float] = field(default_factory=dict)
@@ -382,7 +368,7 @@ class RunState:
         # atomic pipe write, while a worker killed partway through sending a
         # larger result (a WL document) leaves the pool reading the rest for
         # ever. The other tasks take seconds, and are waited for.
-        if kill and self.pending_censuses:
+        if kill and self.pending_censuses is not None:
             processes = list((self.pool._processes or {}).values())
             for process in processes:
                 process.kill()
@@ -442,11 +428,6 @@ def check_k_range(n: int, config: PipelineConfig) -> None:
         ) from None
 
 
-def _over_graphs(state: RunState, fn: Callable, **kwargs) -> list:
-    """fn(graph, **kwargs) for every channel's graph, in channel order."""
-    return _gather(_map_channels(state, fn, **kwargs))
-
-
 def _write_gexf(graph: Graph, directory: Path) -> tuple[str, dict[str, int]]:
     gexf_mod.write_gexf(graph, directory / f"{graph.name}.gexf")
     return graph.name, {"nodes": graph.n_nodes, "edges": graph.n_edges}
@@ -455,14 +436,14 @@ def _write_gexf(graph: Graph, directory: Path) -> tuple[str, dict[str, int]]:
 def write_graphs(state: RunState) -> None:
     directory = state.gexf_dir or state.out_dir
     directory.mkdir(parents=True, exist_ok=True)
-    state.graph_stats = dict(_over_graphs(state, _write_gexf, directory=directory))
+    state.graph_stats = dict(_map_channels(state, _write_gexf, directory=directory)())
 
 
 def extract_documents(state: RunState) -> None:
     config = state.config
-    state.documents = _over_graphs(
+    state.documents = _map_channels(
         state, wl_mod.extract_document, iterations=config.wl_iterations
-    )
+    )()
 
 
 def embed_documents(state: RunState) -> None:
@@ -524,7 +505,7 @@ def start_census(state: RunState) -> None:
 
 
 def count_cliques(state: RunState) -> None:
-    state.censuses = _gather(state.pending_censuses)
+    state.censuses = state.pending_censuses()
     cliques_mod.write_census_csv(
         state.censuses, state.labels, state.out_dir / ARTIFACTS["cliques"]
     )

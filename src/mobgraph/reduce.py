@@ -58,15 +58,14 @@ def knn_exact(points: np.ndarray, k: int = 5) -> NeighborGraph:
     n = points.shape[0]
     if n <= k:
         raise TooFewPoints(n, k)
-    indices = np.empty((n, k), dtype=np.int64)
-    dists = np.empty((n, k), dtype=np.float64)
-    for i in range(n):
-        d = np.linalg.norm(points - points[i], axis=1)
-        d[i] = np.inf
-        order = np.argsort(d, kind="stable")[:k]
-        indices[i] = order
-        dists[i] = d[order]
-    return NeighborGraph(indices=indices, dists=dists)
+    # d[i, j] sums the squares of points[j] - points[i] as np.linalg.norm(...,
+    # axis=1) does; squaring in place keeps one (n, n, dim) temporary.
+    diff = points[None, :, :] - points[:, None, :]
+    diff *= diff
+    d = np.sqrt(diff.sum(axis=2))
+    np.fill_diagonal(d, np.inf)
+    indices = np.argsort(d, axis=1, kind="stable")[:, :k]
+    return NeighborGraph(indices=indices, dists=np.take_along_axis(d, indices, axis=1))
 
 
 def smooth_knn(neighbors: NeighborGraph) -> NeighborGraph:

@@ -23,7 +23,6 @@ from mobgraph.pipeline import (
     CONFIG_FIELDS,
     PipelineConfig,
     RunState,
-    _gather,
     _map_channels,
     fields_read,
     load_config_file,
@@ -236,18 +235,18 @@ def process_id(graph):
 def test_map_channels_raises_the_first_failing_channel_in_order(monkeypatch):
     monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
     with channel_state("abc", 2) as state:
-        assert _gather(_map_channels(state, upper_name)) == ["A", "B", "C"]
+        assert _map_channels(state, upper_name)() == ["A", "B", "C"]
     for threads in (1, 2):
         with channel_state("abcde", threads) as state:
             with pytest.raises(InvalidConfig, match="bad b"):
-                _gather(_map_channels(state, fail_on_b_and_d))
+                _map_channels(state, fail_on_b_and_d)()
 
 
 @pytest.mark.parametrize("cpus, forked", [(1, False), (2, True)])
 def test_map_channels_workers_capped_by_cpus(monkeypatch, cpus, forked):
     monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: cpus)
     with channel_state("abc", 4) as state:
-        pids = _gather(_map_channels(state, process_id))
+        pids = _map_channels(state, process_id)()
     assert len(pids) == 3
     assert len(set(pids)) <= cpus
     assert (os.getpid() not in pids) == forked
@@ -256,7 +255,7 @@ def test_map_channels_workers_capped_by_cpus(monkeypatch, cpus, forked):
 def test_map_channels_runs_serially_without_fork(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     with channel_state("abc", 2) as state:
-        pids = _gather(_map_channels(state, process_id))
+        pids = _map_channels(state, process_id)()
         assert state.pool is None
     assert set(pids) == {os.getpid()}
 
@@ -541,14 +540,17 @@ def test_interrupted_graphs_command_leaves_no_temp_files(corpus_dir, tmp_path, c
     monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(gexf_mod, "open_text", slow_open_text)
 
-    def interrupted_once_both_workers_write(pending):
+    map_channels = pipeline_mod._map_channels
+
+    def interrupted_once_both_workers_write(state, fn, **kwargs):
+        map_channels(state, fn, **kwargs)  # the tasks start; nothing waits for them
         deadline = time.monotonic() + 10
         while not (log.exists() and len(log.read_text().split()) >= 2):
             assert time.monotonic() < deadline, "the GEXF writes never started"
             time.sleep(0.01)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(pipeline_mod, "_gather", interrupted_once_both_workers_write)
+    monkeypatch.setattr(pipeline_mod, "_map_channels", interrupted_once_both_workers_write)
     out = tmp_path / "graphs"
     assert main(["graphs", "--input", str(corpus_dir / "comments.csv"),
                  "--out", str(out), "--threads", "2"]) == 130

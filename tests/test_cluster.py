@@ -335,6 +335,163 @@ def test_cophenetic_too_few_points():
         cophenetic_correlation(dendrogram, np.zeros((2, 2)))
 
 
+# --- exact references --------------------------------------------------------------
+# The dict-and-set implementations the array code replaced. Every merge, cut,
+# cophenetic height and silhouette must equal theirs exactly, not approximately.
+
+def reference_pairwise(points):
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def reference_single_linkage(points):
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    dist = reference_pairwise(points)
+    cluster_dist = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            cluster_dist[(i, j)] = float(dist[i, j])
+    sizes = {i: 1 for i in range(n)}
+    active = set(range(n))
+    merges = []
+    next_id = n
+    for _ in range(n - 1):
+        best = min(cluster_dist.items(), key=lambda kv: (kv[1], kv[0]))
+        (left, right), height = best
+        size = sizes[left] + sizes[right]
+        merges.append((left, right, height, size))
+        active.discard(left)
+        active.discard(right)
+        for other in active:
+            d_left = cluster_dist.pop((min(left, other), max(left, other)))
+            d_right = cluster_dist.pop((min(right, other), max(right, other)))
+            cluster_dist[(other, next_id)] = min(d_left, d_right)
+        del cluster_dist[(left, right)]
+        sizes[next_id] = size
+        active.add(next_id)
+        next_id += 1
+    return Dendrogram(n_leaves=n, merges=merges)
+
+
+def reference_cut_tree(dendrogram, k):
+    n = dendrogram.n_leaves
+    sets = {i: {i} for i in range(n)}
+    for m, (left, right, _h, _size) in enumerate(dendrogram.merges[:n - k]):
+        sets[n + m] = sets.pop(left) | sets.pop(right)
+    groups = sorted(sets.values(), key=min)
+    labels = np.empty(n, dtype=np.int64)
+    for c, group in enumerate(groups):
+        for leaf in group:
+            labels[leaf] = c
+    return labels
+
+
+def reference_cophenetic_distances(dendrogram):
+    n = dendrogram.n_leaves
+    coph = np.zeros((n, n), dtype=np.float64)
+    members = {i: {i} for i in range(n)}
+    for m, (left, right, height, _size) in enumerate(dendrogram.merges):
+        left_set = members.pop(left)
+        right_set = members.pop(right)
+        for i in left_set:
+            for j in right_set:
+                coph[i, j] = coph[j, i] = height
+        members[n + m] = left_set | right_set
+    return coph
+
+
+def reference_silhouette_score(points, labels):
+    points = np.asarray(points, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = points.shape[0]
+    clusters, counts = np.unique(labels, return_counts=True)
+    dist = reference_pairwise(points)
+    sizes = dict(zip(clusters.tolist(), counts.tolist()))
+    total = 0.0
+    for i in range(n):
+        own = int(labels[i])
+        if sizes[own] == 1:
+            continue
+        a = dist[i, labels == own].sum() / (sizes[own] - 1)
+        b = math.inf
+        for c in clusters:
+            c = int(c)
+            if c == own:
+                continue
+            b = min(b, dist[i, labels == c].mean())
+        peak = max(a, b)
+        if peak > 0.0:
+            total += (b - a) / peak
+    return total / n
+
+
+def point_sets(kind, count=20, seed=0, max_n=40):
+    """Seeded point sets, n from 2 and 1-5 dims, of one kind: "normal";
+    "grid", small integers full of ties and duplicates; or "overflow",
+    normal with 30% of the rows scaled by 1e200, so that some distances
+    overflow to inf."""
+    rng = np.random.default_rng([seed, ["normal", "grid", "overflow"].index(kind)])
+    for _ in range(count):
+        n, dim = int(rng.integers(2, max_n)), int(rng.integers(1, 6))
+        if kind == "grid":
+            yield rng.integers(0, 3, (n, dim)).astype(np.float64)
+            continue
+        points = rng.normal(0, 1, (n, dim))
+        if kind == "overflow":
+            points[rng.random(n) < 0.3] *= 1e200
+        yield points
+
+
+def same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@pytest.mark.parametrize("kind", ["normal", "grid", "overflow"])
+def test_hierarchy_equals_reference_exactly(kind):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for points in point_sets(kind):
+            n = points.shape[0]
+            dendrogram = single_linkage(points)
+            reference = reference_single_linkage(points)
+            assert dendrogram.merges == reference.merges
+            assert np.array_equal(cophenetic_distances(dendrogram),
+                                  reference_cophenetic_distances(reference))
+            for k in range(1, n + 1):
+                labels = cut_tree(dendrogram, k)
+                assert np.array_equal(labels, reference_cut_tree(reference, k))
+                if 2 <= len(set(labels.tolist())):
+                    assert same_float(silhouette_score(points, labels),
+                                      reference_silhouette_score(points, labels))
+
+
+def test_silhouette_equals_reference_exactly_on_random_labels():
+    rng = np.random.default_rng(13)
+    for kind in ("normal", "grid"):
+        for points in point_sets(kind, max_n=60):
+            n = points.shape[0]
+            labels = rng.integers(0, max(2, n // 3), n) * 3  # sparse label values
+            if len(set(labels.tolist())) >= 2:
+                assert silhouette_score(points, labels) == reference_silhouette_score(
+                    points, labels)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda points: kmeans(points, 2),
+    lambda points: silhouette_score(points, [0, 1, 1]),
+    lambda points: select_k_by_silhouette(points),
+    single_linkage,
+    lambda points: cophenetic_correlation(
+        Dendrogram(n_leaves=3, merges=[(0, 2, 1.0, 2), (1, 3, 1.0, 3)]), points),
+    lambda points: davies_bouldin(points, [0, 1, 1]),
+], ids=["kmeans", "silhouette_score", "select_k_by_silhouette", "single_linkage",
+        "cophenetic_correlation", "davies_bouldin"])
+def test_non_finite_points_rejected(call, bad):
+    with pytest.raises(ValueError, match="finite"):
+        call(np.array([[0.0], [bad], [1.0]]))
+
+
 # --- davies-bouldin ----------------------------------------------------------------
 
 def db_oracle(points, labels):

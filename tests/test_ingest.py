@@ -152,6 +152,15 @@ def test_unsafe_channel_id_rejected(format, channel):
     assert err.value.line == (3 if format == "csv" else 2)  # CSV counts its header
 
 
+@pytest.mark.parametrize("format", ["csv", "json-lines"])
+def test_empty_comment_id_rejected(format):
+    # Accepted, a blank id would make every later blank one its duplicate.
+    rows = [("c1", "v1", "u1", "m1"), ("c1", "v1", "u2", ""), ("c1", "v2", "u3", "")]
+    with pytest.raises(MalformedRow, match="empty or missing comment_id") as err:
+        parse_comments(comment_table(rows, format), format=format)
+    assert err.value.line == (3 if format == "csv" else 2)  # CSV counts its header
+
+
 # A lone surrogate cannot be encoded as UTF-8, so only JSON-lines (as \ud800)
 # can carry one.
 @pytest.mark.parametrize("format,bad", [

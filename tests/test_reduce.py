@@ -50,6 +50,42 @@ def test_knn_matches_full_sort_oracle():
                                rtol=0, atol=1e-12)
 
 
+def reference_knn_exact(points, k):
+    """The row-by-row kNN that knn_exact's whole-matrix version replaced."""
+    n = points.shape[0]
+    indices = np.empty((n, k), dtype=np.int64)
+    dists = np.empty((n, k), dtype=np.float64)
+    for i in range(n):
+        d = np.linalg.norm(points - points[i], axis=1)
+        d[i] = np.inf
+        order = np.argsort(d, kind="stable")[:k]
+        indices[i] = order
+        dists[i] = d[order]
+    return indices, dists
+
+
+@pytest.mark.parametrize("kind", ["normal", "grid", "overflow"])
+def test_knn_equals_reference_exactly(kind):
+    # 1-5 dims, and the pipeline's 128-dim embeddings; small integer grids
+    # are full of distance ties, and rows scaled by 1e200 overflow to inf.
+    rng = np.random.default_rng(["normal", "grid", "overflow"].index(kind))
+    with np.errstate(over="ignore"):
+        for trial in range(30):
+            n = int(rng.integers(6, 64))
+            dim = 128 if trial % 5 == 0 else int(rng.integers(1, 6))
+            if kind == "grid":
+                points = rng.integers(0, 3, (n, dim)).astype(np.float64)
+            else:
+                points = rng.normal(0, 1, (n, dim))
+                if kind == "overflow":
+                    points[rng.random(n) < 0.3] *= 1e200
+            for k in (1, 5):
+                result = knn_exact(points, k)
+                indices, dists = reference_knn_exact(points, k)
+                assert np.array_equal(result.indices, indices)
+                assert np.array_equal(result.dists, dists)
+
+
 def test_knn_coincident_points_tie_to_lower_index():
     points = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 0.0]])
     result = knn_exact(points, 2)
