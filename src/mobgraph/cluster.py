@@ -3,7 +3,10 @@ quality metrics used for model selection and validation."""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -15,6 +18,9 @@ from .errors import (
     TooFewPoints,
 )
 from .seeding import rng_for
+from .textio import write_json
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -44,9 +50,14 @@ def _as_points(points) -> np.ndarray:
     return arr
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances between rows."""
+    diff = a[:, None, :] - b[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
 def _pairwise(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    return np.sqrt(_squared_distances(points, points))
 
 
 # --- k-means ---------------------------------------------------------------
@@ -54,10 +65,11 @@ def _pairwise(points: np.ndarray) -> np.ndarray:
 def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    closest = ((points - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
+    # Each point's squared distance to its closest center so far. With no
+    # weight to draw by (no center yet, or every point on one) the pick is
+    # uniform.
+    closest = np.zeros(n)
+    for c in range(k):
         total = float(closest.sum())
         if total <= 0.0:
             pick = int(rng.integers(n))
@@ -66,15 +78,25 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
             pick = int(np.searchsorted(np.cumsum(closest), r, side="right"))
             pick = min(pick, n - 1)
         centers[c] = points[pick]
-        d = ((points - centers[c]) ** 2).sum(axis=1)
-        closest = np.minimum(closest, d)
+        d2 = _squared_distances(points, centers[c : c + 1])[:, 0]
+        closest = np.minimum(closest, d2) if c else d2
     return centers
 
 
 def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    """Each point's nearest center, and its squared distance to it."""
+    d2 = _squared_distances(points, centers)
     labels = d2.argmin(axis=1)
-    return labels, d2
+    return labels, d2[np.arange(points.shape[0]), labels]
+
+
+def _refill(c: int, points, centers, labels, assigned) -> None:
+    """Re-seed empty cluster c on the point farthest from its centroid,
+    which moves to c at distance 0."""
+    far = int(assigned.argmax())
+    centers[c] = points[far]
+    labels[far] = c
+    assigned[far] = 0.0
 
 
 def kmeans(points, k: int, seed: int = 0, n_init: int = 10) -> KMeansResult:
@@ -95,28 +117,20 @@ def kmeans(points, k: int, seed: int = 0, n_init: int = 10) -> KMeansResult:
         centers = _kmeans_pp(points, k, rng)
         labels = np.full(n, -1, dtype=np.int64)
         for _ in range(300):
-            new_labels, d2 = _assign(points, centers)
-            assigned = d2[np.arange(n), new_labels]
+            new_labels, assigned = _assign(points, centers)
             for c in range(k):
                 members = new_labels == c
                 if members.any():
                     centers[c] = points[members].mean(axis=0)
                 else:
-                    far = int(assigned.argmax())
-                    centers[c] = points[far]
-                    new_labels[far] = c
-                    assigned[far] = 0.0
+                    _refill(c, points, centers, new_labels, assigned)
             if (new_labels == labels).all():
                 break
             labels = new_labels
-        labels, d2 = _assign(points, centers)
-        assigned = d2[np.arange(n), labels]
+        labels, assigned = _assign(points, centers)
         for c in range(k):
             if not (labels == c).any():
-                far = int(assigned.argmax())
-                labels[far] = c
-                centers[c] = points[far]
-                assigned[far] = 0.0
+                _refill(c, points, centers, labels, assigned)
         inertia = float(assigned.sum())
         if best is None or inertia < best.inertia:
             best = KMeansResult(labels=labels, centroids=centers, inertia=inertia)
@@ -159,27 +173,32 @@ def silhouette_score(points, labels) -> float:
 
 def k_range(n: int, k_min: int = 2, k_max: int | None = None) -> range:
     """The k values model selection tries for n points: [k_min, k_max], with
-    k_max defaulting to min(10, n - 1). InvalidK when k_min < 2 or the range
-    is empty."""
+    k_max defaulting to min(10, n - 1). InvalidK when k_min < 2, k_max > n
+    or the range is empty."""
     if k_max is None:
         k_max = min(10, n - 1)
-    if k_min < 2 or k_max < k_min:
+    if k_min < 2 or k_max < k_min or k_max > n:
         raise InvalidK(k_min if k_min < 2 else k_max, n)
     return range(k_min, k_max + 1)
+
+
+def _best_k(scores: dict[int, float]) -> int:
+    """The k of the highest silhouette; ties go to the smaller k."""
+    return max(scores, key=lambda k: (scores[k], -k))
 
 
 def select_k_by_silhouette(
     points, k_min: int = 2, k_max: int | None = None, seed: int = 0, n_init: int = 10
 ) -> tuple[int, dict[int, float], KMeansResult]:
-    """Run kmeans over [k_min, k_max], return argmax silhouette, ties to
-    the smaller k, the full score table, and the selected k's fit."""
+    """Run kmeans over k_range(n, k_min, k_max); return the best k (see
+    _best_k), the full score table, and the selected k's fit."""
     points = _as_points(points)
     scores: dict[int, float] = {}
     fits: dict[int, KMeansResult] = {}
     for k in k_range(points.shape[0], k_min, k_max):
         fits[k] = kmeans(points, k, seed=seed, n_init=n_init)
         scores[k] = silhouette_score(points, fits[k].labels)
-    best_k = max(scores, key=lambda k: (scores[k], -k))
+    best_k = _best_k(scores)
     return best_k, scores, fits[best_k]
 
 
@@ -334,3 +353,59 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     if denom == 0.0:
         return 1.0
     return float((sum_ij - expected) / denom)
+
+
+# --- model selection --------------------------------------------------------
+
+def compute_clustering(
+    points,
+    channels: list[str],
+    k_min: int = 2,
+    k_max: int | None = None,
+    seed: int = 0,
+    n_init: int = 10,
+    dendrogram_path: Path | None = None,
+) -> dict:
+    """Model selection, both clusterings, and quality metrics for one point
+    set; writes the dendrogram to dendrogram_path when given. Metrics that
+    are undefined for the data at hand come back as None with a logged
+    warning."""
+    k_star, scores, km = select_k_by_silhouette(
+        points, k_min=k_min, k_max=k_max, seed=seed, n_init=n_init
+    )
+    dendrogram = single_linkage(points)
+    cuts = {k: cut_tree(dendrogram, k) for k in scores}  # the k range resolved above
+    cut_scores = {k: silhouette_score(points, labels) for k, labels in cuts.items()}
+    cut_k = _best_k(cut_scores)
+
+    def guarded(what: str, metric: Callable[..., float], *args) -> float | None:
+        try:
+            return metric(*args)
+        except (CoincidentCentroids, SingleCluster, DegenerateVariance,
+                TooFewPoints) as exc:
+            logger.warning("%s unavailable: %s", what, exc)
+            return None
+
+    cophenetic = guarded("cophenetic correlation", cophenetic_correlation, dendrogram, points)
+    db_kmeans = guarded("Davies-Bouldin (k-means labels)", davies_bouldin, points, km.labels)
+    db_cut = guarded("Davies-Bouldin (cut-tree labels)", davies_bouldin, points, cuts[cut_k])
+    if dendrogram_path is not None:
+        write_json({"leaves": channels, "merges": [list(m) for m in dendrogram.merges],
+                    "n_leaves": dendrogram.n_leaves}, dendrogram_path)
+    return {
+        "kmeans": {
+            "selected_k": k_star,
+            "silhouette_by_k": {str(k): v for k, v in sorted(scores.items())},
+            "silhouette": scores[k_star],
+            "labels": {c: int(l) for c, l in zip(channels, km.labels)},
+            "davies_bouldin": db_kmeans,
+        },
+        "hierarchical": {
+            "selected_k": cut_k,
+            "silhouette_by_k": {str(k): v for k, v in sorted(cut_scores.items())},
+            "silhouette": cut_scores[cut_k],
+            "labels": {c: int(l) for c, l in zip(channels, cuts[cut_k])},
+            "davies_bouldin": db_cut,
+            "cophenetic_correlation": cophenetic,
+        },
+    }

@@ -31,7 +31,7 @@ CSV_HEADER = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
 _NOT_XML = re.compile("[\x00-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommentRecord:
     """One comment event. published_at and text are carried, never analyzed."""
 
@@ -59,9 +59,11 @@ def parse_comments(
         raise ValueError(f"on_duplicate must be 'warn' or 'error', got {on_duplicate!r}")
     records: list[CommentRecord] = []
     seen: set[str] = set()
-    # Ids already found valid: each distinct one is checked once per parse.
-    channels_ok: set[str] = set()
-    commenters_ok: set[str] = set()
+    # One string per distinct id, shared by every record that holds it. A
+    # channel or commenter id is checked when it is first seen.
+    channels: dict[str, str] = {}
+    commenters: dict[str, str] = {}
+    videos: dict[str, str] = {}
     with open_text(source) as stream:
         rows = _iter_csv(stream) if format == "csv" else _iter_json_lines(stream)
         for line, (channel, video, commenter, comment_id, published, text) in rows:
@@ -73,12 +75,12 @@ def parse_comments(
                 raise MalformedRow(line, "empty or missing commenter_id")
             if not comment_id:
                 raise MalformedRow(line, "empty or missing comment_id")
-            if channel not in channels_ok:
+            if channel not in channels:
                 _check_channel(line, channel)
-                channels_ok.add(channel)
-            if commenter not in commenters_ok:
+                channels[channel] = channel
+            if commenter not in commenters:
                 _check_gexf_text(line, "commenter_id", commenter)
-                commenters_ok.add(commenter)
+                commenters[commenter] = commenter
             if comment_id in seen:
                 if on_duplicate == "error":
                     raise DuplicateCommentId(comment_id, line)
@@ -87,8 +89,9 @@ def parse_comments(
                 )
                 continue
             seen.add(comment_id)
-            records.append(CommentRecord(channel, video, commenter, comment_id,
-                                         published or None, text or None))
+            records.append(CommentRecord(
+                channels[channel], videos.setdefault(video, video), commenters[commenter],
+                comment_id, published or None, text or None))
     return records
 
 

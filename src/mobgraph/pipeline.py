@@ -30,23 +30,12 @@ from . import gexf as gexf_mod
 from . import ingest as ingest_mod
 from . import reduce as reduce_mod
 from . import wl as wl_mod
-from .errors import (
-    CoincidentCentroids,
-    DegenerateVariance,
-    InvalidConfig,
-    InvalidK,
-    MobgraphError,
-    PipelineStageError,
-    SingleCluster,
-    TooFewPoints,
-)
+from .errors import InvalidConfig, InvalidK, MobgraphError, PipelineStageError
 from .graph import Graph
 from .textio import has_type, read_json, temp_files, write_json
 
 if TYPE_CHECKING:
     from concurrent.futures.process import ProcessPoolExecutor
-
-logger = logging.getLogger(__name__)
 
 INCOMPLETE_MARKER = "INCOMPLETE"
 REPORT = "report.json"
@@ -136,79 +125,9 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
     return config
 
 
-def compute_clustering(
-    points,
-    channels: list[str],
-    k_min: int = 2,
-    k_max: int | None = None,
-    seed: int = 0,
-    n_init: int = 10,
-    out_dir: Path | None = None,
-) -> dict:
-    """Model selection, both clusterings, and quality metrics for one point
-    set; writes dendrogram.json when out_dir is given. Metrics that are
-    undefined for the data at hand come back as None with a logged warning."""
-    k_star, scores, km = cluster_mod.select_k_by_silhouette(
-        points, k_min=k_min, k_max=k_max, seed=seed, n_init=n_init
-    )
-    dendrogram = cluster_mod.single_linkage(points)
-    cut_scores: dict[int, float] = {}
-    for k in scores:  # the k range select_k_by_silhouette resolved
-        cut_scores[k] = cluster_mod.silhouette_score(
-            points, cluster_mod.cut_tree(dendrogram, k)
-        )
-    cut_k = max(cut_scores, key=lambda k: (cut_scores[k], -k))
-    cut_labels = cluster_mod.cut_tree(dendrogram, cut_k)
-
-    def guarded(fn: Callable[[], float], what: str) -> float | None:
-        try:
-            return fn()
-        except (CoincidentCentroids, SingleCluster, DegenerateVariance,
-                TooFewPoints) as exc:
-            logger.warning("%s unavailable: %s", what, exc)
-            return None
-
-    cophenetic = guarded(
-        lambda: cluster_mod.cophenetic_correlation(dendrogram, points),
-        "cophenetic correlation",
-    )
-    db_kmeans = guarded(
-        lambda: cluster_mod.davies_bouldin(points, km.labels),
-        "Davies-Bouldin (k-means labels)",
-    )
-    db_cut = guarded(
-        lambda: cluster_mod.davies_bouldin(points, cut_labels),
-        "Davies-Bouldin (cut-tree labels)",
-    )
-    if out_dir is not None:
-        write_json(
-            {
-                "leaves": channels,
-                "merges": [
-                    [left, right, height, size]
-                    for left, right, height, size in dendrogram.merges
-                ],
-                "n_leaves": dendrogram.n_leaves,
-            },
-            out_dir / ARTIFACTS["dendrogram"],
-        )
-    return {
-        "kmeans": {
-            "selected_k": k_star,
-            "silhouette_by_k": {str(k): v for k, v in sorted(scores.items())},
-            "silhouette": scores[k_star],
-            "labels": {c: int(l) for c, l in zip(channels, km.labels)},
-            "davies_bouldin": db_kmeans,
-        },
-        "hierarchical": {
-            "selected_k": cut_k,
-            "silhouette_by_k": {str(k): v for k, v in sorted(cut_scores.items())},
-            "silhouette": cut_scores[cut_k],
-            "labels": {c: int(l) for c, l in zip(channels, cut_labels)},
-            "davies_bouldin": db_cut,
-            "cophenetic_correlation": cophenetic,
-        },
-    }
+# Model selection is cluster's. cluster_points calls it through this
+# module's binding, which perfbench's tracer wraps as a span of its own.
+compute_clustering = cluster_mod.compute_clustering
 
 
 class _WarningCollector(logging.Handler):
@@ -423,8 +342,8 @@ def check_k_range(n: int, config: PipelineConfig) -> None:
     except InvalidK:
         raise InvalidConfig(
             f"{n} channels leave no k to select with k_min={config.k_min}, "
-            f"k_max={config.k_max} (k_min must be >= 2; k_max defaults to "
-            f"min(10, channels - 1))"
+            f"k_max={config.k_max} (k_min must be >= 2 and k_max <= channels; "
+            f"k_max defaults to min(10, channels - 1))"
         ) from None
 
 
@@ -487,7 +406,7 @@ def cluster_points(state: RunState) -> None:
         k_max=config.k_max,
         seed=config.seed,
         n_init=config.n_init,
-        out_dir=state.out_dir,
+        dendrogram_path=state.out_dir / ARTIFACTS["dendrogram"],
     )
 
 

@@ -3,10 +3,11 @@
 Every reader and writer takes a path or an already open stream. A path is
 opened as UTF-8 without newline translation and closed again; a stream is
 used as given (a binary one is decoded as UTF-8) and left open for its
-owner. Readers also take the content itself as bytes, and input that is not
-UTF-8 is a MobgraphError naming it. A path opened for writing is replaced
-whole once the writer is done, never left half written; `temp_files` finds
-the temp files of writers whose process died before that.
+owner. Readers also take the content itself as bytes, skip a UTF-8 byte
+order mark at the start, and raise a MobgraphError naming input that is not
+UTF-8. A path opened for writing is replaced whole once the writer is done,
+never left half written; `temp_files` finds the temp files of writers whose
+process died before that.
 """
 
 from __future__ import annotations
@@ -62,14 +63,16 @@ def temp_files(directory: Path, *patterns: str) -> list[Path]:
 
 @contextlib.contextmanager
 def open_text(target: Source, mode: str = "r") -> Iterator[IO[str]]:
+    # Spreadsheet programs write a byte order mark into "CSV UTF-8".
+    encoding = "utf-8" if mode == "w" else "utf-8-sig"
     try:
         if isinstance(target, (str, Path)):
             opener = replacing if mode == "w" else open
-            with opener(target, mode, encoding="utf-8", newline="") as f:
+            with opener(target, mode, encoding=encoding, newline="") as f:
                 yield f
         elif isinstance(target, (bytes, io.RawIOBase, io.BufferedIOBase)):
             raw = io.BytesIO(target) if isinstance(target, bytes) else target
-            wrapper = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+            wrapper = io.TextIOWrapper(raw, encoding=encoding, newline="")
             try:
                 yield wrapper
             finally:

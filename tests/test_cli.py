@@ -334,6 +334,7 @@ def test_too_few_channels_for_umap_neighbors_fails_before_graphs(tmp_path, capsy
     ["--k-min", "8"],  # k_max defaults to min(10, 8 - 1) = 7
     ["--k-min", "1"],
     ["--k-min", "4", "--k-max", "3"],
+    ["--k-max", "9"],  # more clusters than channels
 ])
 def test_empty_k_range_fails_before_graphs(corpus_dir, tmp_path, capsys, flags):
     out = tmp_path / "run"
@@ -341,7 +342,10 @@ def test_empty_k_range_fails_before_graphs(corpus_dir, tmp_path, capsys, flags):
                  "--out", str(out), "--umap-neighbors", "3", *flags])
     assert code == 1
     err = capsys.readouterr().err
-    assert "8 channels" in err and f"k_min={flags[1]}" in err
+    assert err.startswith("error: stage 'ingest' failed")
+    assert "8 channels" in err and "k_max <= channels" in err
+    for flag, value in zip(flags[::2], flags[1::2]):
+        assert f"{flag[2:].replace('-', '_')}={value}" in err
     assert files_under(out) == ["INCOMPLETE"]
 
 
@@ -1124,8 +1128,25 @@ def test_cluster_on_too_few_rows_explains_the_k_range(pipeline_out, tmp_path, ca
     assert main(["cluster", "--input", str(table), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: invalid config: {rows} channels leave no k to select with k_min=2, "
-        f"k_max=None (k_min must be >= 2; k_max defaults to min(10, channels - 1))\n")
+        f"k_max=None (k_min must be >= 2 and k_max <= channels; k_max defaults to "
+        f"min(10, channels - 1))\n")
     assert files_under(out) == []
+
+
+def test_cluster_k_max_may_reach_the_row_count_but_not_pass_it(pipeline_out, tmp_path,
+                                                                capsys):
+    reduced = str(pipeline_out / "reduced.csv")  # 8 rows
+    out = tmp_path / "out"
+    assert main(["cluster", "--input", reduced, "--out", str(out), "--k-max", "9"]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid config: 8 channels leave no k to select with k_min=2, k_max=9 "
+        "(k_min must be >= 2 and k_max <= channels; k_max defaults to "
+        "min(10, channels - 1))\n")
+    assert files_under(out) == []
+    assert main(["cluster", "--input", reduced, "--out", str(out), "--k-max", "8"]) == 0
+    clustering = json.loads((out / "cluster.json").read_text(encoding="utf-8"))
+    for method in ("kmeans", "hierarchical"):
+        assert list(clustering[method]["silhouette_by_k"]) == [str(k) for k in range(2, 9)]
 
 
 @pytest.mark.parametrize("rows", [0, 2])

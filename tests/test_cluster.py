@@ -203,6 +203,8 @@ def test_select_k_invalid_range():
         select_k_by_silhouette(points, k_min=1)
     with pytest.raises(InvalidK):
         select_k_by_silhouette(points, k_min=4, k_max=3)
+    with pytest.raises(InvalidK):
+        select_k_by_silhouette(points, k_max=7)  # more clusters than points
 
 
 # --- single linkage ----------------------------------------------------------------

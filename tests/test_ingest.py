@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import json
@@ -194,6 +195,34 @@ def test_input_not_utf8_names_it(tmp_path):
         parse_comments(path)
     with pytest.raises(MobgraphError, match="not UTF-8"):
         parse_comments(path.read_bytes())
+
+
+@pytest.mark.parametrize("format", ["csv", "json-lines"])
+@pytest.mark.parametrize("kind", ["path", "bytes", "binary stream"])
+def test_byte_order_mark_is_skipped(tmp_path, format, kind):
+    # Spreadsheet programs write one at the start of "CSV UTF-8".
+    rows = [("c1", "v1", "u1", "m1"), ("c1", "v2", "u2", "m2")]
+    parsed = {}
+    for name, prefix in (("plain", b""), ("marked", codecs.BOM_UTF8)):
+        source = prefix + comment_table(rows, format)
+        if kind == "path":
+            (tmp_path / name).write_bytes(source)
+            source = tmp_path / name
+        elif kind == "binary stream":
+            source = io.BytesIO(source)
+        parsed[name] = parse_comments(source, format=format)
+    assert parsed["marked"] == parsed["plain"] == [rec(*row) for row in rows]
+
+
+@pytest.mark.parametrize("format", ["csv", "json-lines"])
+def test_equal_ids_are_one_string(format):
+    rows = [("channel-1", "video-1", "commenter-1", "m1"),
+            ("channel-1", "video-1", "commenter-1", "m2"),
+            ("channel-1", "video-2", "commenter-1", "m3")]
+    first, second, third = parse_comments(comment_table(rows, format), format=format)
+    assert first.channel_id is second.channel_id is third.channel_id
+    assert first.video_id is second.video_id
+    assert first.commenter_id is second.commenter_id is third.commenter_id
 
 
 def test_trailing_blank_line_skipped_in_both_formats():

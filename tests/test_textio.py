@@ -1,9 +1,17 @@
+import codecs
 import json
 from pathlib import Path
 
 import pytest
 
-from mobgraph.textio import has_type, open_text, replacing, temp_files, write_json
+from mobgraph.textio import (
+    has_type,
+    open_text,
+    read_json,
+    replacing,
+    temp_files,
+    write_json,
+)
 
 
 def test_writer_that_raises_partway_leaves_old_target(tmp_path):
@@ -55,3 +63,11 @@ def test_temp_files_finds_what_replacing_leaves(tmp_path):
 ])
 def test_has_type(value, kind, expected):
     assert has_type(value, kind) is expected
+
+
+def test_writers_write_no_byte_order_mark_and_readers_skip_one(tmp_path):
+    target = tmp_path / "config.json"
+    write_json({"dim": 16}, target)
+    assert target.read_bytes() == b'{\n  "dim": 16\n}\n'
+    target.write_bytes(codecs.BOM_UTF8 + target.read_bytes())
+    assert read_json(target) == {"dim": 16}
