@@ -106,15 +106,12 @@ def train_embeddings(
     epochs: int = 10,
     negative: int = 5,
     seed: int = 0,
-    objective_out: list[float] | None = None,
 ) -> EmbeddingMatrix:
     """Train one vector per document; rows follow the input document order.
 
     Bit-reproducible for a fixed seed: document vectors are seeded per graph
     id, noise draws follow a canonical order sorted by graph id, and updates
     run single-threaded. Reordering the input therefore only permutes rows.
-    objective_out, when given a list, receives the per-epoch mean objective
-    evaluated at pre-update parameters.
     """
     if not documents:
         raise ValueError("documents must be non-empty")
@@ -184,15 +181,12 @@ def train_embeddings(
             flat.extend(negs)
             distinct.append(len(set(negs)) == negative)
         rows_idx = list(np.array(flat).reshape(-1, 1 + negative))
-        epoch_objective = 0.0
         for doc_vec, idx, unique in zip(update_docs, rows_idx, distinct):
             if total_updates > 1:
                 lr = initial_lr + lr_span * (update / (total_updates - 1))
             else:
                 lr = initial_lr
             rows = tokenvecs[idx]
-            if objective_out is not None:
-                epoch_objective += pair_objective(doc_vec, rows, labels)
             grad_doc, grad_tokens = pair_gradients(doc_vec, rows, labels)
             grad_tokens *= lr
             if unique:
@@ -204,8 +198,6 @@ def train_embeddings(
             grad_doc *= lr
             doc_vec += grad_doc
             update += 1
-        if objective_out is not None:
-            objective_out.append(epoch_objective / max(1, pairs_per_epoch))
         if not np.isfinite(docvecs).all() or not np.isfinite(tokenvecs).all():
             raise NonFiniteUpdate(
                 f"non-finite parameters after epoch {epoch} "

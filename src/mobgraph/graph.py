@@ -5,12 +5,11 @@ Edges carry a positive, finite weight (number of shared videos). The
 adjacency is in CSR form: indices[indptr[i]:indptr[i + 1]] holds the
 positions of i's neighbours in ascending order, and the same slice of
 weights their edge weights. An edge is stored in the rows of both of its
-endpoints, so lookups are orientation-free. A graph is immutable.
+endpoints. A graph is immutable.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Sequence
 
 import numpy as np
@@ -57,39 +56,17 @@ class Graph:
 
     # --- queries ----------------------------------------------------------
 
-    def _row(self, u: str) -> dict[str, float]:
-        """u's neighbours, in sorted order, mapped to the edge weights."""
-        i = bisect_left(self.ids, u)
-        if self.ids[i:i + 1] != (u,):
-            raise KeyError(u)
-        row = slice(self.indptr[i], self.indptr[i + 1])
-        return dict(zip([self.ids[j] for j in self.indices[row].tolist()],
-                        self.weights[row].tolist()))
-
-    def has_node(self, u: str) -> bool:
-        i = bisect_left(self.ids, u)
-        return self.ids[i:i + 1] == (u,)
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return self.has_node(u) and v in self._row(u)
-
-    def weight(self, u: str, v: str) -> float:
-        return self._row(u)[v]
-
-    def neighbors(self, u: str) -> list[str]:
-        """u's neighbours in sorted order."""
-        return list(self._row(u))
-
-    def degree(self, u: str) -> int:
-        return len(self._row(u))
-
     def nodes(self) -> list[str]:
         """Node ids in sorted order."""
         return list(self.ids)
 
     def edges(self) -> list[tuple[str, str, float]]:
         """(u, v, weight) triples, u < v, sorted lexicographically."""
-        return [(u, v, w) for u in self.ids for v, w in self._row(u).items() if u < v]
+        rows = np.repeat(np.arange(len(self.ids)), np.diff(self.indptr))
+        later = self.indices > rows  # each edge once, from its earlier end
+        ids = self.ids
+        return [(ids[u], ids[v], w) for u, v, w in zip(
+            rows[later].tolist(), self.indices[later].tolist(), self.weights[later].tolist())]
 
     @property
     def n_nodes(self) -> int:

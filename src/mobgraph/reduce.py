@@ -325,12 +325,11 @@ def optimize_layout(
     epochs: int = 500,
     negative_rate: int = 5,
     seed: int = 0,
-    init_out: list[str] | None = None,
 ) -> np.ndarray:
     """Lay the points out in n_components dimensions.
 
     Initialization follows _layout_init_mode: spectral, or seeded uniform
-    noise in [-10, 10]; init_out, when given a list, receives the mode.
+    noise in [-10, 10].
     Attractive moves follow the per-edge schedule proportional to strength;
     each one triggers negative_rate repulsive samples; the step size decays
     linearly 1 -> 0; per-component gradients clip to [-4, 4]. Corpora with
@@ -353,8 +352,6 @@ def optimize_layout(
     else:
         init = _spectral_init(strengths, n_components, seed)
     logger.info("layout init: %s", init_mode)
-    if init_out is not None:
-        init_out.append(init_mode)
 
     if n <= n_components + 1:
         logger.warning(
@@ -399,7 +396,6 @@ def reduce_embeddings(
     neighbors = smooth_knn(knn_exact(points, n_neighbors))
     fuzzy = fuzzy_union(neighbors)
     a, b = fit_curve_params()
-    init_mode: list[str] = []
     coords = optimize_layout(
         fuzzy,
         n_components=n_components,
@@ -408,12 +404,11 @@ def reduce_embeddings(
         epochs=epochs,
         negative_rate=negative_rate,
         seed=seed,
-        init_out=init_mode,
     )
     info = {
         "a": a,
         "b": b,
-        "init": init_mode[0],
+        "init": _layout_init_mode(fuzzy.strengths, n_components),
         "n_neighbors": n_neighbors,
         "epochs": epochs,
         "negative_rate": negative_rate,

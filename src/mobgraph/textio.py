@@ -4,10 +4,11 @@ Every reader and writer takes a path or an already open stream. A path is
 opened as UTF-8 without newline translation and closed again; a stream is
 used as given (a binary one is decoded as UTF-8) and left open for its
 owner. Readers also take the content itself as bytes, skip a UTF-8 byte
-order mark at the start, and raise a MobgraphError naming input that is not
-UTF-8. A path opened for writing is replaced whole once the writer is done,
-never left half written; `temp_files` finds the temp files of writers whose
-process died before that.
+order mark at the start (of a text stream too, when it can seek), and
+raise a MobgraphError naming input that is not UTF-8. A path opened for
+writing is replaced whole once the writer is done, never left half
+written; `temp_files` finds the temp files of writers whose process died
+before that.
 """
 
 from __future__ import annotations
@@ -77,7 +78,12 @@ def open_text(target: Source, mode: str = "r") -> Iterator[IO[str]]:
                 yield wrapper
             finally:
                 wrapper.detach()  # closing the wrapper would close the caller's stream
-        else:
+        else:  # already decoded, so the mark is a U+FEFF to skip by hand
+            if mode == "r" and target.seekable():
+                with contextlib.suppress(OSError):  # a file mid-iteration cannot tell()
+                    start = target.tell()
+                    if target.read(1) != "\ufeff":
+                        target.seek(start)
             yield target
     except UnicodeDecodeError:
         name = target if isinstance(target, (str, Path)) else getattr(target, "name", "input")

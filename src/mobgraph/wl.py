@@ -26,7 +26,6 @@ from .graph import Graph
 # FNV-1a, 64-bit: platform-stable and cheap. Pinned; golden tokens in tests.
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # The same constants as uint64 operands: numpy 1.x turns uint64 mixed with
 # a signed integer into float64.
@@ -36,15 +35,6 @@ _LOW_BYTE = np.uint64(0xFF)
 _COMMA = np.uint64(ord(","))
 _BAR = np.uint64(ord("|"))
 _ALL_LOW_BYTES = np.arange(256, dtype=np.uint64)
-
-
-def fnv1a64(text: str) -> str:
-    """64-bit FNV-1a of the UTF-8 bytes, as 16 hex digits."""
-    h = _FNV_OFFSET
-    for byte in text.encode("utf-8"):
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return f"{h:016x}"
 
 
 @dataclass
@@ -152,11 +142,6 @@ class _NeighbourIndex:
         hashes = np.empty_like(state)
         hashes[self.order] = state
         return [f"{h:016x}" for h in hashes.tolist()]
-
-
-def wl_iteration(graph: Graph, labels: dict[str, str]) -> dict[str, str]:
-    """One refinement round: hash own label with sorted neighbor labels."""
-    return dict(zip(graph.ids, _NeighbourIndex(graph).refine([labels[u] for u in graph.ids])))
 
 
 def extract_document(graph: Graph, iterations: int = 2) -> GraphDocument:

@@ -1,9 +1,10 @@
-"""Shared helpers: graphs from edge lists, and random graph construction with
-a seeded generator."""
+"""Shared helpers: graphs from edge lists, a node's row of a graph by id, and
+random graph construction with a seeded generator."""
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,19 @@ def make_graph(edges=(), name: str = "", nodes=()) -> Graph:
     position = {u: i for i, u in enumerate(ids)}
     rows = sorted((*sorted((position[u], position[v])), w) for u, v, w in edges)
     return Graph(name, ids, *zip(*rows))
+
+
+def neighbours(graph: Graph, u: str) -> dict[str, float]:
+    """u's neighbours, in sorted order, mapped to the edge weights, read from
+    the graph's ids, indptr, indices and weights; KeyError when u is not a
+    node. Its keys are u's neighbour list, its length u's degree, and
+    `v in neighbours(graph, u)` whether the edge u-v is there."""
+    i = bisect_left(graph.ids, u)
+    if graph.ids[i:i + 1] != (u,):
+        raise KeyError(u)
+    row = slice(graph.indptr[i], graph.indptr[i + 1])
+    return dict(zip([graph.ids[j] for j in graph.indices[row].tolist()],
+                    graph.weights[row].tolist()))
 
 
 def random_graph(

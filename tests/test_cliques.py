@@ -21,7 +21,7 @@ from mobgraph.graph import Graph
 from mobgraph.ingest import build_co_commenter_graph
 from mobgraph.pipeline import PipelineConfig, RunState, count_cliques, start_census
 
-from conftest import make_graph, permuted_copy, random_graph
+from conftest import make_graph, neighbours, permuted_copy, random_graph
 
 
 def exhaustive_maximal_cliques(graph):
@@ -50,7 +50,7 @@ def exhaustive_maximal_cliques(graph):
 def reference_degeneracy_order(graph):
     """An O(n^2) smallest-last order for the set-based reference: min() over
     every remaining node per step, ties toward the smaller id."""
-    remaining = {u: set(graph.neighbors(u)) for u in graph.nodes()}
+    remaining = {u: set(neighbours(graph, u)) for u in graph.nodes()}
     order = []
     while remaining:
         u = min(remaining, key=lambda x: (len(remaining[x]), x))
@@ -65,7 +65,7 @@ def reference_maximal_cliques(graph):
     """The set-based Bron-Kerbosch the bitset census replaced: degeneracy
     order, pivot covering the most of P (ties toward the smaller id). Slow,
     but it scales past the exhaustive sweep."""
-    adj = {u: set(graph.neighbors(u)) for u in graph.nodes()}
+    adj = {u: set(neighbours(graph, u)) for u in graph.nodes()}
 
     def expand(r, p, x):
         if not p and not x:
@@ -129,7 +129,7 @@ def test_degeneracy_order_is_smallest_last():
         graph = with_isolated(graph, *(f"z{i}" for i in range(int(rng.integers(0, 4)))))
         order = _degeneracy_order(graph)
         assert sorted(order) == list(range(graph.n_nodes)), trial
-        remaining = {u: set(graph.neighbors(u)) for u in graph.nodes()}
+        remaining = {u: set(neighbours(graph, u)) for u in graph.nodes()}
         for u in (graph.ids[i] for i in order):
             assert len(remaining[u]) == min(map(len, remaining.values())), trial
             for v in remaining.pop(u):

@@ -351,7 +351,7 @@ def test_layout_init_spectral_when_connected(caplog):
     assert "layout init: spectral" in caplog.messages
 
 
-def test_reduce_reports_the_init_mode_the_layout_used(monkeypatch):
+def test_reduce_reports_the_init_mode_the_layout_used(monkeypatch, caplog):
     modes = []
 
     def counted(strengths, n_components):
@@ -361,9 +361,12 @@ def test_reduce_reports_the_init_mode_the_layout_used(monkeypatch):
     layout_init_mode = reduce_mod._layout_init_mode
     monkeypatch.setattr(reduce_mod, "_layout_init_mode", counted)
     points = np.random.default_rng(24).normal(0.0, 1.0, (20, 16))
-    _, info = reduce_embeddings(points, n_components=4, epochs=5, seed=0)
-    assert modes == ["spectral"]  # one connectivity sweep per reduction
+    with caplog.at_level("INFO", logger="mobgraph.reduce"):
+        _, info = reduce_embeddings(points, n_components=4, epochs=5, seed=0)
+    # the layout and the report each ask the same question of the same graph
+    assert modes == ["spectral", "spectral"]
     assert info["init"] == "spectral"
+    assert "layout init: spectral" in caplog.messages
 
 
 def test_layout_skips_tiny_corpus(caplog):

@@ -1,15 +1,19 @@
 import codecs
+import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mobgraph.textio import (
     has_type,
     open_text,
+    read_id_table,
     read_json,
     replacing,
     temp_files,
+    write_id_table,
     write_json,
 )
 
@@ -71,3 +75,8 @@ def test_writers_write_no_byte_order_mark_and_readers_skip_one(tmp_path):
     assert target.read_bytes() == b'{\n  "dim": 16\n}\n'
     target.write_bytes(codecs.BOM_UTF8 + target.read_bytes())
     assert read_json(target) == {"dim": 16}
+    table = io.StringIO()
+    write_id_table(["g1", "g2"], np.array([[0.5], [-2.0]]), "e", table)
+    assert table.getvalue() == "graph_id,e0\ng1,0.5\ng2,-2.0\n"
+    ids, rows = read_id_table(io.StringIO("\ufeff" + table.getvalue()), "embedding")
+    assert ids == ["g1", "g2"] and rows.tolist() == [[0.5], [-2.0]]
