@@ -266,8 +266,11 @@ class RunState:
                     from concurrent.futures.process import ProcessPoolExecutor
 
                     # fork, not spawn: a spawned worker would need the records
-                    # pickled to it. The only other threads at fork time are
-                    # numpy's idle BLAS pool; the workers call no BLAS.
+                    # pickled to it. Unless the caller started threads of its
+                    # own, the workers fork from a single-threaded process:
+                    # numpy's BLAS is loaded with one thread (see
+                    # mobgraph/__init__.py), and the pool starts its manager
+                    # thread only after every worker has forked.
                     self.pool = ProcessPoolExecutor(
                         workers, mp_context=multiprocessing.get_context("fork"),
                         initializer=_start_worker, initargs=(self, os.getpid()),
