@@ -3,7 +3,6 @@ ranking built from them. Edge weights play no role here; only connectivity."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from .errors import CliqueBudgetExceeded, MissingLabel
 from .graph import Graph
-from .textio import TextTarget, open_text
+from .textio import TextTarget, write_csv
 
 DEFAULT_CLIQUE_BUDGET = 10_000_000
 
@@ -123,7 +122,7 @@ def _local_rows(graph: Graph, order: list[int]) -> Iterator[_Subproblem]:
         # One spare column: a neighbour outside the universe maps to -1, the
         # spare column of the row before (of the last row, for row 0).
         block = np.zeros((n_p, size + 1), dtype=bool)
-        lengths, members = _neighbour_lists(graph, universe[:n_light])
+        lengths, members = graph.rows(universe[:n_light])
         local[universe] = positions[:size]
         block.reshape(-1)[np.repeat(np.arange(0, n_light * (size + 1), size + 1), lengths)
                           + local[members]] = True
@@ -136,19 +135,10 @@ def _local_rows(graph: Graph, order: list[int]) -> Iterator[_Subproblem]:
         yield rows, [*universe.tolist(), v], 1 << size, (1 << n_p) - 1, (1 << size) - (1 << n_p)
 
 
-def _neighbour_lists(graph: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The degree of each node, and their neighbour lists end to end."""
-    starts, stops = graph.indptr[nodes], graph.indptr[nodes + 1]
-    lengths = stops - starts
-    ends = np.cumsum(lengths)
-    slots = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
-    return lengths, graph.indices[slots]
-
-
 def _packed_rows(graph: Graph, nodes: np.ndarray) -> np.ndarray:
     """The row of each node as bits over the graph, 8 to a byte: bit j of
     row k is byte j // 8's bit j % 8, set when nodes[k] is adjacent to j."""
-    lengths, members = _neighbour_lists(graph, nodes)
+    lengths, members = graph.rows(nodes)
     packed = np.zeros((len(nodes), (graph.n_nodes + 7) // 8), dtype=np.uint8)
     np.bitwise_or.at(packed, (np.repeat(np.arange(len(nodes)), lengths), members >> 3),
                      np.left_shift(1, members & 7).astype(np.uint8))
@@ -161,7 +151,7 @@ def _int_rows(packed: np.ndarray) -> list[int]:
     return [from_bytes(data[i * width:(i + 1) * width], "little") for i in range(len(packed))]
 
 
-def _search(subproblems: Iterable[_Subproblem], budget: int | None,
+def _search(subproblems: Iterable[_Subproblem], budget: int,
             emit: Callable[[int, Sequence[int]], object], name: str) -> None:
     """Call emit(members, universe) once per maximal clique of the
     subproblems' graph, members a bitset whose bit i is node universe[i].
@@ -179,7 +169,7 @@ def _search(subproblems: Iterable[_Subproblem], budget: int | None,
     - the candidate loop stops once a member moved to X is adjacent to
       all that is left of P, as it would extend every later branch.
     Every clique found goes through one counter, so budget caps emissions
-    the same way on every path; None disables the cap.
+    the same way on every path.
     """
     emitted = 0
     rows: list[int] = []
@@ -188,7 +178,7 @@ def _search(subproblems: Iterable[_Subproblem], budget: int | None,
     def found(members: int) -> None:
         nonlocal emitted
         emitted += 1
-        if budget is not None and emitted > budget:
+        if emitted > budget:
             raise CliqueBudgetExceeded(budget, name or None)
         emit(members, universe)
 
@@ -267,7 +257,7 @@ LOCAL_ROWS_MIN_NODES = 2048
 
 
 def _each_maximal_clique(
-    graph: Graph, budget: int | None, emit: Callable[[int, Sequence[int]], object]
+    graph: Graph, budget: int, emit: Callable[[int, Sequence[int]], object]
 ) -> None:
     """Call emit(members, universe) once per maximal clique, members a
     bitset whose bit i is node universe[i], a position in graph.ids.
@@ -277,17 +267,15 @@ def _each_maximal_clique(
     one extends (see _search). A graph of at least LOCAL_ROWS_MIN_NODES
     nodes searches it on bitsets over the node's neighbourhood
     (_local_rows), a narrower one on bitsets over the graph (_global_rows).
-    budget caps emissions; None disables the cap.
+    budget caps emissions.
     """
     subproblems = _local_rows if graph.n_nodes >= LOCAL_ROWS_MIN_NODES else _global_rows
     _search(subproblems(graph, _degeneracy_order(graph)), budget, emit, graph.name)
 
 
-def maximal_cliques(
-    graph: Graph, budget: int | None = DEFAULT_CLIQUE_BUDGET
-) -> list[frozenset[str]]:
+def maximal_cliques(graph: Graph, budget: int = DEFAULT_CLIQUE_BUDGET) -> list[frozenset[str]]:
     """Every maximal clique exactly once, as frozensets of node ids.
-    budget caps emissions; None disables the cap."""
+    budget caps emissions."""
     found: list[frozenset[str]] = []
     ids = graph.ids
 
@@ -304,7 +292,7 @@ def maximal_cliques(
 
 
 def clique_census(
-    graph: Graph, min_size: int = 5, budget: int | None = DEFAULT_CLIQUE_BUDGET
+    graph: Graph, min_size: int = 5, budget: int = DEFAULT_CLIQUE_BUDGET
 ) -> CliqueCensus:
     """Count maximal cliques of size >= min_size; histogram covers all sizes."""
     if min_size < 1:
@@ -348,11 +336,6 @@ def write_census_csv(
 ) -> None:
     """CSV with header channel_id,cluster,min_size,clique_count, sorted by
     channel id. Channels without a label get cluster -1."""
-    with open_text(sink, "w") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["channel_id", "cluster", "min_size", "clique_count"])
-        for census in sorted(censuses, key=lambda c: c.channel_id):
-            cluster = cluster_labels.get(census.channel_id, -1)
-            writer.writerow(
-                [census.channel_id, int(cluster), census.min_size, census.count]
-            )
+    write_csv(sink, ["channel_id", "cluster", "min_size", "clique_count"], (
+        [c.channel_id, int(cluster_labels.get(c.channel_id, -1)), c.min_size, c.count]
+        for c in sorted(censuses, key=lambda c: c.channel_id)))

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -18,7 +17,6 @@ from .errors import (
     TooFewPoints,
 )
 from .seeding import rng_for
-from .textio import write_json
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +51,8 @@ def _as_points(points) -> np.ndarray:
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances between rows."""
     diff = a[:, None, :] - b[None, :, :]
-    return (diff * diff).sum(axis=2)
+    diff *= diff  # in place: one (len(a), len(b), dim) temporary
+    return diff.sum(axis=2)
 
 
 def _pairwise(points: np.ndarray) -> np.ndarray:
@@ -364,12 +363,10 @@ def compute_clustering(
     k_max: int | None = None,
     seed: int = 0,
     n_init: int = 10,
-    dendrogram_path: Path | None = None,
-) -> dict:
+) -> tuple[dict, Dendrogram]:
     """Model selection, both clusterings, and quality metrics for one point
-    set; writes the dendrogram to dendrogram_path when given. Metrics that
-    are undefined for the data at hand come back as None with a logged
-    warning."""
+    set, and its single-linkage dendrogram. Metrics that are undefined for
+    the data at hand come back as None with a logged warning."""
     k_star, scores, km = select_k_by_silhouette(
         points, k_min=k_min, k_max=k_max, seed=seed, n_init=n_init
     )
@@ -389,9 +386,6 @@ def compute_clustering(
     cophenetic = guarded("cophenetic correlation", cophenetic_correlation, dendrogram, points)
     db_kmeans = guarded("Davies-Bouldin (k-means labels)", davies_bouldin, points, km.labels)
     db_cut = guarded("Davies-Bouldin (cut-tree labels)", davies_bouldin, points, cuts[cut_k])
-    if dendrogram_path is not None:
-        write_json({"leaves": channels, "merges": [list(m) for m in dendrogram.merges],
-                    "n_leaves": dendrogram.n_leaves}, dendrogram_path)
     return {
         "kmeans": {
             "selected_k": k_star,
@@ -408,4 +402,4 @@ def compute_clustering(
             "davies_bouldin": db_cut,
             "cophenetic_correlation": cophenetic,
         },
-    }
+    }, dendrogram

@@ -68,6 +68,14 @@ class Graph:
         return [(ids[u], ids[v], w) for u, v, w in zip(
             rows[later].tolist(), self.indices[later].tolist(), self.weights[later].tolist())]
 
+    def rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The degree of each of nodes (an int array of positions), and
+        their rows of indices end to end."""
+        starts = self.indptr[nodes]
+        lengths = self.indptr[nodes + 1] - starts
+        offsets = np.cumsum(lengths) - lengths  # where each row starts in the result
+        return lengths, self.indices[np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)]
+
     @property
     def n_nodes(self) -> int:
         return len(self.ids)

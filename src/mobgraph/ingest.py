@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DuplicateCommentId, EmptyChannel, MalformedRow, MissingColumn
 from .graph import Graph
-from .textio import Source, TextTarget, open_text
+from .textio import MAX_NAME_BYTES, Source, TextTarget, open_text, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -96,11 +96,15 @@ def parse_comments(
 
 
 def _check_channel(line: int, channel: str) -> None:
-    """A channel id becomes a file name, graphs/<channel>.gexf, and is
-    written into GEXF."""
+    """A channel id becomes a file name, graphs/<channel>.gexf, which must
+    fit MAX_NAME_BYTES, and is written into GEXF."""
     if channel in (".", "..") or any(c in channel for c in "/\\"):
         raise MalformedRow(line, f"channel_id {channel!r} is not a safe file name")
     _check_gexf_text(line, "channel_id", channel)
+    size = len(f"{channel}.gexf".encode("utf-8"))
+    if size > MAX_NAME_BYTES:
+        raise MalformedRow(line, f"channel_id is too long for a file name: <channel_id>.gexf "
+                                 f"has {size} bytes, at most {MAX_NAME_BYTES} fit")
 
 
 def _check_gexf_text(line: int, col: str, value: str) -> None:
@@ -129,6 +133,10 @@ def _csv_rows(reader) -> Iterable[tuple[int, Row]]:
     except StopIteration:
         raise MissingColumn("channel_id") from None
     positions = {name: i for i, name in enumerate(header)}
+    for col in CSV_HEADER:
+        if header.count(col) > 1:
+            raise MalformedRow(reader.line_num,
+                               f"column {col!r} appears more than once in the header")
     for col in REQUIRED_COLUMNS:
         if col not in positions:
             raise MissingColumn(col)
@@ -169,14 +177,8 @@ def _iter_json_lines(stream: IO[str]) -> Iterable[tuple[int, Row]]:
 
 def write_comments_csv(records: Iterable[CommentRecord], sink: TextTarget) -> None:
     """Write records in the same CSV layout parse_comments reads."""
-    with open_text(sink, "w") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.channel_id, r.video_id, r.commenter_id, r.comment_id,
-                 r.published_at or "", r.text or ""]
-            )
+    write_csv(sink, CSV_HEADER, ([r.channel_id, r.video_id, r.commenter_id, r.comment_id,
+                                  r.published_at or "", r.text or ""] for r in records))
 
 
 def channels_in(records: Iterable[CommentRecord]) -> list[str]:

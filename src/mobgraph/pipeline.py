@@ -402,15 +402,17 @@ def reduce_points(state: RunState) -> None:
 def cluster_points(state: RunState) -> None:
     config = state.config
     check_k_range(len(state.channels), config)
-    state.clustering = compute_clustering(
+    state.clustering, dendrogram = compute_clustering(
         state.coords,
         state.channels,
         k_min=config.k_min,
         k_max=config.k_max,
         seed=config.seed,
         n_init=config.n_init,
-        dendrogram_path=state.out_dir / ARTIFACTS["dendrogram"],
     )
+    write_json({"leaves": state.channels, "n_leaves": dendrogram.n_leaves,
+                "merges": [list(m) for m in dendrogram.merges]},
+               state.out_dir / ARTIFACTS["dendrogram"])
 
 
 def start_census(state: RunState) -> None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cluster import _pairwise
 from .errors import NonFiniteCoordinate, TooFewPoints
 from .seeding import buffered_draws, rng_for
 from .textio import TextTarget, read_id_table, write_id_table
@@ -34,14 +35,12 @@ DEFAULT_CURVE = (1.5769434602697652, 0.8950608778515733)
 
 @dataclass
 class NeighborGraph:
+    """The kNN of every point with its calibration (see smooth_knn)."""
+
     indices: np.ndarray  # (n, k) neighbor ids, ascending distance
     dists: np.ndarray  # (n, k) matching distances
-    rho: np.ndarray | None = None  # (n,) distance to nearest neighbor
-    sigma: np.ndarray | None = None  # (n,) calibrated bandwidth
-
-    @property
-    def k(self) -> int:
-        return int(self.indices.shape[1])
+    rho: np.ndarray  # (n,) distance to nearest neighbor
+    sigma: np.ndarray  # (n,) calibrated bandwidth
 
 
 @dataclass
@@ -49,8 +48,9 @@ class FuzzyGraph:
     strengths: np.ndarray  # (n, n) symmetric, zero diagonal, entries in [0, 1]
 
 
-def knn_exact(points: np.ndarray, k: int = 5) -> NeighborGraph:
-    """Exact k nearest neighbors by Euclidean distance, self excluded.
+def knn_exact(points: np.ndarray, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k nearest neighbors by Euclidean distance, self excluded: the
+    (n, k) neighbor ids, by ascending distance, and their distances.
 
     Ties break toward the lower index (stable sort on the distance row).
     """
@@ -58,27 +58,24 @@ def knn_exact(points: np.ndarray, k: int = 5) -> NeighborGraph:
     n = points.shape[0]
     if n <= k:
         raise TooFewPoints(n, k)
-    # d[i, j] sums the squares of points[j] - points[i] as np.linalg.norm(...,
-    # axis=1) does; squaring in place keeps one (n, n, dim) temporary.
-    diff = points[None, :, :] - points[:, None, :]
-    diff *= diff
-    d = np.sqrt(diff.sum(axis=2))
+    d = _pairwise(points)
     np.fill_diagonal(d, np.inf)
     indices = np.argsort(d, axis=1, kind="stable")[:, :k]
-    return NeighborGraph(indices=indices, dists=np.take_along_axis(d, indices, axis=1))
+    return indices, np.take_along_axis(d, indices, axis=1)
 
 
-def smooth_knn(neighbors: NeighborGraph) -> NeighborGraph:
-    """Fill rho (nearest distance) and sigma per point.
+def smooth_knn(knn: tuple[np.ndarray, np.ndarray]) -> NeighborGraph:
+    """The NeighborGraph of knn_exact's (indices, dists): rho (nearest
+    distance) and sigma per point.
 
     sigma solves sum_j exp(-max(0, d_ij - rho_i) / sigma) = log2(k), k the
     neighbors per point, by a 64-step binary search, then is clamped from
     below by 1e-3 times the point's mean neighbor distance (global mean when
     rho is 0).
     """
-    dists = neighbors.dists
-    n = dists.shape[0]
-    target = math.log2(neighbors.k)
+    indices, dists = knn
+    n, k = dists.shape
+    target = math.log2(k)
     global_mean = float(dists.mean()) if dists.size else 0.0
     rho = dists[:, 0].copy()
     sigma = np.empty(n, dtype=np.float64)
@@ -105,16 +102,12 @@ def smooth_knn(neighbors: NeighborGraph) -> NeighborGraph:
         floor = MIN_SIGMA_SCALE * base
         if sigma[i] < floor:
             sigma[i] = floor
-    return NeighborGraph(
-        indices=neighbors.indices, dists=dists, rho=rho, sigma=sigma
-    )
+    return NeighborGraph(indices, dists, rho, sigma)
 
 
 def fuzzy_union(neighbors: NeighborGraph) -> FuzzyGraph:
     """Directed strengths exp(-max(0, d - rho)/sigma), symmetrized by the
     probabilistic union w1 + w2 - w1*w2."""
-    if neighbors.rho is None or neighbors.sigma is None:
-        raise ValueError("run smooth_knn first: rho and sigma are unset")
     n = neighbors.indices.shape[0]
     directed = np.zeros((n, n), dtype=np.float64)
     for i in range(n):

@@ -29,8 +29,8 @@ def rng_for(seed: int, *parts: str) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, *parts))
 
 
-def buffered_draws(draw: Callable[[int], list], block: int = 8192) -> Iterator:
-    """The values of draw(block), draw(block), ... one at a time.
+def buffered_draws(draw: Callable[[int], list]) -> Iterator:
+    """The values of draw(8192), draw(8192), ... one at a time.
 
     Sequential samplers take one random value per step; drawing them a
     block per numpy call keeps the call overhead off each step. Generator
@@ -38,4 +38,4 @@ def buffered_draws(draw: Callable[[int], list], block: int = 8192) -> Iterator:
     single draws, so the stream does not depend on the block size.
     """
     while True:
-        yield from draw(block)
+        yield from draw(8192)

@@ -22,7 +22,7 @@ import math
 import os
 import re
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +49,9 @@ def replacing(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
 
 
 _TEMP_NAME = re.compile(r"\.(.+)\.[0-9a-f]{8}\.tmp")
+# The longest file name that replacing() can write, in UTF-8 bytes: a
+# 255-byte NAME_MAX, less the 14 bytes that its temp file name adds.
+MAX_NAME_BYTES = 255 - len(".") - len(".00000000.tmp")
 
 
 def temp_files(directory: Path, *patterns: str) -> list[Path]:
@@ -126,14 +129,20 @@ def write_json(payload, sink: TextTarget) -> None:
         out.write("\n")
 
 
+def write_csv(sink: TextTarget, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The CSV dialect of every table mobgraph writes: the header line, then
+    the rows, each line ended by a bare newline."""
+    with open_text(sink, "w") as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_id_table(graph_ids, rows: np.ndarray, prefix: str, sink: TextTarget) -> None:
     """CSV with header graph_id,{prefix}0..{prefix}{d-1}, one row per graph;
     floats via repr so they read back bit for bit."""
-    with open_text(sink, "w") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["graph_id"] + [f"{prefix}{i}" for i in range(rows.shape[1])])
-        for gid, row in zip(graph_ids, rows):
-            writer.writerow([gid] + [repr(float(x)) for x in row])
+    write_csv(sink, ["graph_id"] + [f"{prefix}{i}" for i in range(rows.shape[1])],
+              ([gid] + [repr(float(x)) for x in row] for gid, row in zip(graph_ids, rows)))
 
 
 def read_id_table(source: TextTarget, what: str) -> tuple[list[str], np.ndarray]:

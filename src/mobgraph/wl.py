@@ -96,17 +96,12 @@ class _NeighbourIndex:
     with more than k neighbours are always a prefix of that order."""
 
     def __init__(self, graph: Graph):
-        degrees = np.diff(graph.indptr)
-        self.order = np.argsort(-degrees, kind="stable")
-        self.degrees = degrees[self.order]
+        self.order = np.argsort(-np.diff(graph.indptr), kind="stable")
+        self.degrees, self.neighbours = graph.rows(self.order)
         self.starts = np.cumsum(self.degrees) - self.degrees
         # folding[k]: how many nodes have more than k neighbours
         max_degree = self.degrees.max(initial=0)
         self.folding = np.searchsorted(-self.degrees, -np.arange(max_degree), "left")
-        # Each row, gathered from where it sits among the graph's rows.
-        slots = np.repeat(graph.indptr[self.order] - self.starts, self.degrees)
-        slots += np.arange(len(slots))
-        self.neighbours = graph.indices[slots]
 
     def _sort_rows(self, slot_rank: np.ndarray) -> None:
         """Sort every node's row in place: rows of one degree sit side by

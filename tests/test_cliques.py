@@ -89,14 +89,14 @@ def assert_matches_reference(graph):
     """Clique set, emission count and census histogram all equal the
     set-based reference; returns the number of maximal cliques."""
     expected = list(reference_maximal_cliques(graph))
-    ours = maximal_cliques(graph, budget=None)
+    ours = maximal_cliques(graph, budget=10**9)
     assert len(ours) == len(expected)
     assert set(ours) == set(expected)
     histogram = {}
     for clique in expected:
         histogram[len(clique)] = histogram.get(len(clique), 0) + 1
     for min_size in (1, 3, 5):
-        census = clique_census(graph, min_size=min_size, budget=None)
+        census = clique_census(graph, min_size=min_size, budget=10**9)
         assert census.channel_id == graph.name
         assert census.histogram == dict(sorted(histogram.items()))
         assert list(census.histogram) == sorted(census.histogram)
@@ -182,7 +182,7 @@ def test_relabel_invariance():
     assert ours == set(maximal_cliques(h))
 
 
-def search_histogram(graph, rows, budget=None):
+def search_histogram(graph, rows, budget=10**9):
     """Census histogram from one subproblem path, called directly."""
     histogram = {}
 
@@ -201,7 +201,7 @@ def search_cliques(graph, rows):
         found.append(frozenset(graph.ids[universe[i]] for i in range(len(universe))
                                if members >> i & 1))
 
-    _search(rows(graph, _degeneracy_order(graph)), None, collect, graph.name)
+    _search(rows(graph, _degeneracy_order(graph)), 10**9, collect, graph.name)
     return found
 
 

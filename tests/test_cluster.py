@@ -191,7 +191,7 @@ def test_selected_k_is_fitted_once(monkeypatch):
         return kmeans(points, k, seed=seed, n_init=n_init)
 
     monkeypatch.setattr(cluster_mod, "kmeans", counting_kmeans)
-    result = compute_clustering(points, [f"ch{i}" for i in range(18)], k_max=5,
+    result, _dendrogram = compute_clustering(points, [f"ch{i}" for i in range(18)], k_max=5,
                                 seed=3, n_init=4)
     assert fitted == [2, 3, 4, 5]  # once per k, the selected one included
     assert result["kmeans"]["selected_k"] == best_k

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import neighbours
+from mobgraph import synth
 from mobgraph.cliques import clique_census
 from mobgraph.errors import (
     DuplicateCommentId,
@@ -14,6 +15,7 @@ from mobgraph.errors import (
     MalformedRow,
     MissingColumn,
     MobgraphError,
+    PipelineStageError,
 )
 from mobgraph.gexf import read_gexf, write_gexf
 from mobgraph.ingest import (
@@ -23,6 +25,7 @@ from mobgraph.ingest import (
     parse_comments,
     write_comments_csv,
 )
+from mobgraph.pipeline import PipelineConfig, run_pipeline
 from mobgraph.wl import extract_document
 
 
@@ -81,6 +84,15 @@ def test_csv_reader_error_names_its_line():
     with pytest.raises(MalformedRow, match="field larger than field limit") as err:
         parse_comments(data)
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("repeated", ["channel_id", "comment_id", "text"])
+def test_csv_header_naming_a_column_twice_rejected(repeated):
+    # Read by position, the last copy would win: B, not the row's first value.
+    data = csv_bytes(["A,v1,u1,c1,,,B"]).replace(b"\n", f",{repeated}\n".encode(), 1)
+    with pytest.raises(MalformedRow, match=repr(repeated)) as err:
+        parse_comments(data)
+    assert err.value.line == 1
 
 
 def test_csv_optional_columns_may_be_absent():
@@ -152,6 +164,32 @@ def test_unsafe_channel_id_rejected(format, channel):
     with pytest.raises(MalformedRow) as err:
         parse_comments(comment_table(rows, format), format=format)
     assert err.value.line == (3 if format == "csv" else 2)  # CSV counts its header
+
+
+@pytest.mark.parametrize("size", [236, 237])
+def test_channel_id_too_long_for_its_file_fails_at_ingest(tmp_path, size):
+    # graphs/<id>.gexf is written through a temp file 14 bytes longer, so 236
+    # bytes is the longest id whose file a 255-byte NAME_MAX lets through.
+    # Two-byte characters: the limit counts UTF-8 bytes, not characters.
+    long_id = "\u00e9" * (size // 2) + "x" * (size % 2)
+    records, _ = synth.generate_corpus(synth.two_family_config(
+        n_channels=8, videos_per_channel=10, organic_commenters=12))
+    records = [CommentRecord(long_id if r.channel_id == "ch03" else r.channel_id,
+                             r.video_id, r.commenter_id, r.comment_id) for r in records]
+    write_comments_csv(records, tmp_path / "comments.csv")
+    config = PipelineConfig(input=str(tmp_path / "comments.csv"), out=str(tmp_path / "run"))
+    if size == 236:
+        run_pipeline(config)
+        assert (tmp_path / "run" / "graphs" / f"{long_id}.gexf").is_file()
+        return
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(config)
+    assert err.value.stage == "ingest"
+    assert isinstance(err.value.cause, MalformedRow)
+    line = 2 + next(k for k, r in enumerate(records) if r.channel_id == long_id)
+    assert err.value.cause.line == line
+    assert "too long" in str(err.value.cause)
+    assert not (tmp_path / "run" / "graphs").exists()
 
 
 @pytest.mark.parametrize("format", ["csv", "json-lines"])
