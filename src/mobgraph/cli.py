@@ -163,7 +163,8 @@ def _run_steps(state: RunState, steps) -> None:
 def cmd_ingest(args: argparse.Namespace) -> int:
     state = RunState(_config(args))
     pipeline.read_comments(state, on_duplicate="error" if args.strict else "warn")
-    print(f"parsed {len(state.records[None])} records across {len(state.channels)} channels")
+    total = sum(map(len, state.records.values()))
+    print(f"parsed {total} records across {len(state.channels)} channels")
     for c in state.channels:
         print(f"  {c}: {len(state.records[c])} comments")
     return 0
@@ -172,8 +173,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_graphs(args: argparse.Namespace) -> int:
     state = _state(args)
     pipeline.read_comments(state)
-    if args.merged:
-        state.channels = [None]  # one graph over the whole corpus
+    if args.merged:  # one graph over the whole corpus
+        state.records = {None: [r for c in state.channels for r in state.records[c]]}
+        state.channels = [None]
     _run_steps(state, STEPS["graphs"][1:])
     for name, stats in state.graph_stats.items():
         path = state.out_dir / f"{name}.gexf"

@@ -12,20 +12,19 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import DuplicateCommentId, EmptyChannel, MalformedRow, MissingColumn
+from .errors import DuplicateCommentId, EmptyChannel, MalformedRow, MissingColumn, MobgraphError
 from .graph import Graph
-from .textio import MAX_NAME_BYTES, Source, TextTarget, open_text, write_csv
+from .textio import JSON_DECODER, MAX_NAME_BYTES, Source, TextTarget, open_text, write_csv
 
 logger = logging.getLogger(__name__)
 
-REQUIRED_COLUMNS = ("channel_id", "video_id", "commenter_id", "comment_id")
-OPTIONAL_COLUMNS = ("published_at", "text")
-CSV_HEADER = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
+# The columns read; any other CSV column or JSON key is ignored.
+COLUMNS = ("channel_id", "video_id", "commenter_id", "comment_id")
 # What a channel or commenter id may not hold: control characters (XML cannot
 # carry most of them), surrogates, and the non-characters U+FFFE and U+FFFF.
 _NOT_XML = re.compile("[\x00-\x1f\ud800-\udfff\ufffe\uffff]")
@@ -33,14 +32,12 @@ _NOT_XML = re.compile("[\x00-\x1f\ud800-\udfff\ufffe\uffff]")
 
 @dataclass(frozen=True, slots=True)
 class CommentRecord:
-    """One comment event. published_at and text are carried, never analyzed."""
+    """One comment event: who commented on which video of which channel."""
 
     channel_id: str
     video_id: str
     commenter_id: str
     comment_id: str
-    published_at: str | None = None
-    text: str | None = None
 
 
 def parse_comments(
@@ -66,15 +63,11 @@ def parse_comments(
     videos: dict[str, str] = {}
     with open_text(source) as stream:
         rows = _iter_csv(stream) if format == "csv" else _iter_json_lines(stream)
-        for line, (channel, video, commenter, comment_id, published, text) in rows:
-            if not channel:
-                raise MalformedRow(line, "empty or missing channel_id")
-            if not video:
-                raise MalformedRow(line, "empty or missing video_id")
-            if not commenter:
-                raise MalformedRow(line, "empty or missing commenter_id")
-            if not comment_id:
-                raise MalformedRow(line, "empty or missing comment_id")
+        for line, row in rows:
+            if not all(row):
+                column = next(col for col, value in zip(COLUMNS, row) if not value)
+                raise MalformedRow(line, f"empty or missing {column}")
+            channel, video, commenter, comment_id = row
             if channel not in channels:
                 _check_channel(line, channel)
                 channels[channel] = channel
@@ -91,7 +84,7 @@ def parse_comments(
             seen.add(comment_id)
             records.append(CommentRecord(
                 channels[channel], videos.setdefault(video, video), commenters[commenter],
-                comment_id, published or None, text or None))
+                comment_id))
     return records
 
 
@@ -113,7 +106,7 @@ def _check_gexf_text(line: int, col: str, value: str) -> None:
                                  f"that GEXF cannot carry")
 
 
-# A row: its CSV_HEADER values in that order, None for an absent column.
+# A row: its COLUMNS values in that order.
 Row = tuple[str | None, ...]
 
 
@@ -122,36 +115,26 @@ def _iter_csv(stream: IO[str]) -> Iterable[tuple[int, Row]]:
     Python 3.11, a field over csv.field_size_limit()) as MalformedRow."""
     reader = csv.reader(stream)
     try:
-        yield from _csv_rows(reader)
+        header = next(reader, [])  # an empty file lacks channel_id
+        for col in COLUMNS:
+            if header.count(col) > 1:
+                raise MalformedRow(reader.line_num,
+                                   f"column {col!r} appears more than once in the header")
+        for col in COLUMNS:
+            if col not in header:
+                raise MissingColumn(col)
+        width = len(header)
+        pick = itemgetter(*map(header.index, COLUMNS))
+        for row in reader:
+            if not row:
+                continue  # blank line
+            if len(row) != width:
+                raise MalformedRow(
+                    reader.line_num, f"expected {width} fields, got {len(row)}"
+                )
+            yield reader.line_num, pick(row)
     except csv.Error as exc:
         raise MalformedRow(reader.line_num, str(exc)) from None
-
-
-def _csv_rows(reader) -> Iterable[tuple[int, Row]]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MissingColumn("channel_id") from None
-    positions = {name: i for i, name in enumerate(header)}
-    for col in CSV_HEADER:
-        if header.count(col) > 1:
-            raise MalformedRow(reader.line_num,
-                               f"column {col!r} appears more than once in the header")
-    for col in REQUIRED_COLUMNS:
-        if col not in positions:
-            raise MissingColumn(col)
-    width = len(header)
-    # An absent optional column reads the None appended to each row.
-    pick = itemgetter(*(positions.get(col, width) for col in CSV_HEADER))
-    for row in reader:
-        if not row:
-            continue  # blank line
-        if len(row) != width:
-            raise MalformedRow(
-                reader.line_num, f"expected {width} fields, got {len(row)}"
-            )
-        row.append(None)
-        yield reader.line_num, pick(row)
 
 
 def _iter_json_lines(stream: IO[str]) -> Iterable[tuple[int, Row]]:
@@ -160,16 +143,18 @@ def _iter_json_lines(stream: IO[str]) -> Iterable[tuple[int, Row]]:
         if not raw.strip():
             continue
         try:
-            obj = json.loads(raw)
+            obj = JSON_DECODER.decode(raw)
         except json.JSONDecodeError as exc:
             raise MalformedRow(line, f"invalid JSON: {exc.msg}") from None
+        except MobgraphError as exc:  # a repeated key
+            raise MalformedRow(line, str(exc)) from None
         if not isinstance(obj, dict):
             raise MalformedRow(line, "expected a JSON object")
-        row = tuple(map(obj.get, CSV_HEADER))
-        for col, value in zip(CSV_HEADER, row):
+        row = tuple(map(obj.get, COLUMNS))
+        for col, value in zip(COLUMNS, row):
             if value is not None and not isinstance(value, str):
                 raise MalformedRow(line, f"{col} must be a string")
-        for col in REQUIRED_COLUMNS:
+        for col in COLUMNS:
             if col not in obj:
                 raise MalformedRow(line, f"missing key {col!r}")
         yield line, row
@@ -177,8 +162,7 @@ def _iter_json_lines(stream: IO[str]) -> Iterable[tuple[int, Row]]:
 
 def write_comments_csv(records: Iterable[CommentRecord], sink: TextTarget) -> None:
     """Write records in the same CSV layout parse_comments reads."""
-    write_csv(sink, CSV_HEADER, ([r.channel_id, r.video_id, r.commenter_id, r.comment_id,
-                                  r.published_at or "", r.text or ""] for r in records))
+    write_csv(sink, COLUMNS, map(attrgetter(*COLUMNS), records))
 
 
 def channels_in(records: Iterable[CommentRecord]) -> list[str]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import os
 import signal
 import sys
@@ -109,6 +110,8 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
                 raise InvalidConfig(f"unknown config key {key!r}")
             if value is not None and not has_type(value, FIELD_TYPES[key]):
                 raise InvalidConfig(f"{key} must be {FIELD_TYPES[key].__name__}, got {value!r}")
+            if FIELD_TYPES[key] is float and value is not None and not math.isfinite(value):
+                raise InvalidConfig(f"{key} must be a finite number, got {value}")
             if value is not None:
                 merged[key] = value
     config = PipelineConfig(**merged)
@@ -224,8 +227,8 @@ class RunState:
 
     config: PipelineConfig
     gexf_dir: Path | None = None  # None: config.out
-    # The records of each channel, in input order; None keys the whole
-    # corpus, and a None channel stands for one graph over all of it.
+    # The records of each channel, in input order. A None channel stands for
+    # one graph over the whole corpus, and its key holds all of the records.
     records: dict[str | None, list[ingest_mod.CommentRecord]] = field(default_factory=dict)
     channels: list[str | None] = field(default_factory=list)
     graph_stats: dict[str, dict[str, int]] = field(default_factory=dict)  # by graph name
@@ -313,7 +316,7 @@ def read_comments(state: RunState, on_duplicate: str = "warn") -> None:
     records = ingest_mod.parse_comments(
         config.input, format=config.format, on_duplicate=on_duplicate
     )
-    state.records = {None: records}
+    state.records = {}
     for record in records:
         state.records.setdefault(record.channel_id, []).append(record)
     state.channels = ingest_mod.channels_in(records)

@@ -191,10 +191,7 @@ def _spectral_init(strengths: np.ndarray, n_components: int, seed: int) -> np.nd
         basis.append(x)
         columns.append(x)
     embedding = np.stack(columns, axis=1)
-    peak = np.abs(embedding).max()
-    if peak == 0.0:
-        return _random_init(n, n_components, seed)
-    embedding = embedding * (10.0 / peak)
+    embedding = embedding * (10.0 / np.abs(embedding).max())  # unit columns: the peak is > 0
     embedding += rng_for(seed, "jitter").normal(0.0, 1e-4, embedding.shape)
     return embedding
 
@@ -318,8 +315,9 @@ def optimize_layout(
     epochs: int = 500,
     negative_rate: int = 5,
     seed: int = 0,
-) -> np.ndarray:
-    """Lay the points out in n_components dimensions.
+) -> tuple[np.ndarray, dict]:
+    """Lay the points out in n_components dimensions: the coordinates, and
+    what was done, as {"init": mode, "optimized": bool}.
 
     Initialization follows _layout_init_mode: spectral, or seeded uniform
     noise in [-10, 10].
@@ -345,17 +343,15 @@ def optimize_layout(
     else:
         init = _spectral_init(strengths, n_components, seed)
     logger.info("layout init: %s", init_mode)
+    done = {"init": init_mode, "optimized": n > n_components + 1}
 
-    if n <= n_components + 1:
+    if not done["optimized"]:
         logger.warning(
             "only %d points for %d components; skipping optimization", n, n_components
         )
-        return init
+        return init, done
 
     mx = float(strengths.max())
-    if mx <= 0.0:
-        logger.warning("fuzzy graph has no edges; returning the initialization")
-        return init
     mu = strengths.copy()
     mu[mu < mx / epochs] = 0.0
     heads, tails = np.nonzero(mu)
@@ -369,7 +365,7 @@ def optimize_layout(
     _layout_step(n_components)(
         emb, edges, eps_attract, eps_negative, epochs, draws.__next__, a, b
     )
-    return np.array(emb, dtype=np.float64)
+    return np.array(emb, dtype=np.float64), done
 
 
 def reduce_embeddings(
@@ -382,14 +378,14 @@ def reduce_embeddings(
 ) -> tuple[np.ndarray, dict]:
     """Full reduction: kNN, bandwidths, fuzzy union, layout.
 
-    Returns (coordinates, info) where info records the layout curve and the
-    initialization mode for the run report.
+    Returns (coordinates, info) where info records the layout curve and
+    what the layout did (see optimize_layout) for the run report.
     """
     points = np.asarray(points, dtype=np.float64)
     neighbors = smooth_knn(knn_exact(points, n_neighbors))
     fuzzy = fuzzy_union(neighbors)
     a, b = fit_curve_params()
-    coords = optimize_layout(
+    coords, done = optimize_layout(
         fuzzy,
         n_components=n_components,
         a=a,
@@ -401,11 +397,10 @@ def reduce_embeddings(
     info = {
         "a": a,
         "b": b,
-        "init": _layout_init_mode(fuzzy.strengths, n_components),
         "n_neighbors": n_neighbors,
         "epochs": epochs,
         "negative_rate": negative_rate,
-        "optimized": points.shape[0] > n_components + 1,
+        **done,
     }
     return coords, info
 

@@ -100,14 +100,28 @@ def has_type(value, kind: type) -> bool:
     return isinstance(value, accepted) and not isinstance(value, bool)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise MobgraphError(f"key {repeated!r} appears more than once")
+    return obj
+
+
+# Decodes JSON as json.loads does, except that an object naming one key
+# twice is a MobgraphError: json.loads would keep the last copy unnoticed.
+JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def read_json(path: str | Path, *keys: str) -> dict:
-    """The JSON object in path, which must hold each of keys; anything else
-    is a MobgraphError naming the file. A dotted key such as
-    "clustering.kmeans" asks for nested objects."""
+    """The JSON object in path, which must hold each of keys; anything else,
+    a key repeated in one object included, is a MobgraphError naming the
+    file. A dotted key such as "clustering.kmeans" asks for nested objects."""
     with open_text(path) as stream:
         try:
-            data = json.load(stream)
-        except json.JSONDecodeError as exc:
+            data = JSON_DECODER.decode(stream.read())
+        except (json.JSONDecodeError, MobgraphError) as exc:
             raise MobgraphError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise MobgraphError(f"{path}: expected a JSON object")

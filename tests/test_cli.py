@@ -696,6 +696,37 @@ def test_config_value_of_wrong_type_fails_before_ingest(corpus_dir, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, values, shown", [
+    (["--lr", "nan"], {}, "nan"),
+    (["--lr", "inf"], {}, "inf"),
+    ([], {"lr": float("nan")}, "nan"),  # written as NaN, which JSON readers accept
+], ids=["flag nan", "flag inf", "config NaN"])
+def test_non_finite_lr_fails_before_ingest(corpus_dir, tmp_path, capsys, flags, values,
+                                           shown):
+    out = tmp_path / "run"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"input": str(corpus_dir / "comments.csv"),
+                                       "out": str(out), **values}))
+    assert main(["pipeline", "--config", str(config_path), *flags]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid config: lr must be a finite number, got {shown}\n")
+    assert not out.exists()
+
+
+def test_config_file_repeating_a_key_fails_before_ingest(corpus_dir, tmp_path, capsys):
+    # The last copy would win unnoticed: dim 32.
+    out = tmp_path / "run"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(f'{{"input": {json.dumps(str(corpus_dir / "comments.csv"))}, '
+                           f'"out": {json.dumps(str(out))}, "dim": 16, "dim": 32}}')
+    with pytest.raises(InvalidConfig, match="key 'dim' appears more than once"):
+        load_config_file(config_path)
+    assert main(["pipeline", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (f"error: invalid config: config file {config_path}: "
+                                       "key 'dim' appears more than once\n")
+    assert not out.exists()
+
+
 def test_resolve_config_types():
     config = resolve_config({"lr": 1, "dim": None, "k_max": None})
     assert config.lr == 1  # an int is a valid float

@@ -357,8 +357,8 @@ def test_reduce_reports_the_init_mode_the_layout_used(monkeypatch, caplog):
     points = np.random.default_rng(24).normal(0.0, 1.0, (20, 16))
     with caplog.at_level("INFO", logger="mobgraph.reduce"):
         _, info = reduce_embeddings(points, n_components=4, epochs=5, seed=0)
-    # the layout and the report each ask the same question of the same graph
-    assert modes == ["spectral", "spectral"]
+    # the report reads the mode that the layout asked for
+    assert modes == ["spectral"]
     assert info["init"] == "spectral"
     assert "layout init: spectral" in caplog.messages
 
@@ -367,9 +367,15 @@ def test_layout_skips_tiny_corpus(caplog):
     strengths = np.zeros((4, 4))
     strengths[0, 1] = strengths[1, 0] = 1.0
     with caplog.at_level("WARNING", logger="mobgraph.reduce"):
-        coords = optimize_layout(FuzzyGraph(strengths), n_components=4, seed=0)
+        coords, _ = optimize_layout(FuzzyGraph(strengths), n_components=4, seed=0)
     assert coords.shape == (4, 4)
     assert any("skipping optimization" in m for m in caplog.messages)
+
+
+def test_layout_of_a_graph_without_edges_is_its_random_init():
+    coords, done = optimize_layout(FuzzyGraph(np.zeros((8, 8))), n_components=2, seed=3)
+    assert done == {"init": "random", "optimized": True}
+    assert coords.tobytes() == reduce_mod._random_init(8, 2, 3).tobytes()
 
 
 def test_layout_rejects_bad_parameters():
@@ -471,7 +477,7 @@ def fuzzy_for(points, n_neighbors=5):
 
 def assert_matches_reference(fuzzy, n_components, negative_rate, epochs=60, seed=3):
     a, b = fit_curve_params()
-    ours = optimize_layout(fuzzy, n_components=n_components, a=a, b=b, epochs=epochs,
+    ours, _ = optimize_layout(fuzzy, n_components=n_components, a=a, b=b, epochs=epochs,
                            negative_rate=negative_rate, seed=seed)
     ref = reference_optimize_layout(fuzzy, n_components, a, b, epochs,
                                     negative_rate, seed)
@@ -526,9 +532,9 @@ assert reduce._layout_step.cache_info().currsize == 0
 strengths = np.random.default_rng(0).random((12, 12))
 strengths = (strengths + strengths.T) / 2
 np.fill_diagonal(strengths, 0.0)
-first = optimize_layout(FuzzyGraph(strengths), n_components=3, epochs=5)
+first, _ = optimize_layout(FuzzyGraph(strengths), n_components=3, epochs=5)
 step = reduce._layout_step(3)
-second = optimize_layout(FuzzyGraph(strengths), n_components=3, epochs=5)
+second, _ = optimize_layout(FuzzyGraph(strengths), n_components=3, epochs=5)
 info = reduce._layout_step.cache_info()
 assert (info.misses, info.currsize) == (1, 1), info
 assert reduce._layout_step(3) is step

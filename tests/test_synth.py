@@ -31,16 +31,16 @@ def test_generation_is_deterministic():
     assert buf_a.getvalue() == buf_b.getvalue()
 
 
-# The corpora of perfbench/workloads.py at seed 0: the benchmark's inputs
-# change if any of these records do.
+# The corpora of perfbench/workloads.py at seed 0, whose CSV bytes are the
+# benchmark's input files: those change if any of these records do.
 @pytest.mark.parametrize("size,records,digest", [
     (dict(n_channels=12, videos_per_channel=40, organic_commenters=100), 8434,
-     "3c058751a82c06f1e9f8b5b6d1bebd9e7a87d01a79ee1a1223a6511cb34aacc7"),
+     "298791522429e24b9039520d381098f7d22534d555f47ae4168a2dd294b1121b"),
     (dict(n_channels=60, videos_per_channel=20, organic_commenters=30,
           heavy_mob_size=8, heavy_mob_prob=0.5), 9055,
-     "0fdaddc6e7bb1dc6bc0f2f0d4d5a88a04bb909e0a56024557af3041bf35ca1af"),
+     "a58dba3686f8a7996a4da65f18eab668cc65aaef8552ae7f79e03019e802481a"),
     (dict(n_channels=12, videos_per_channel=40, organic_commenters=50), 6065,
-     "7d3dc46f19a4d197994a2d83dd53f97cf4af1d7b5027867487c243bcb536f47e"),
+     "c863d4dc387f743870c3711839192fbfdb2f19f64de7e5d6d0c32c01d7f831f9"),
 ], ids=["census_dense", "many_sparse", "stagewise_jsonl"])
 def test_benchmark_corpora_are_pinned(size, records, digest):
     corpus, _ = generate_corpus(two_family_config(seed=0, **size))

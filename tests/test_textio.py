@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mobgraph.errors import MobgraphError
 from mobgraph.textio import (
     has_type,
     open_text,
@@ -80,3 +81,11 @@ def test_writers_write_no_byte_order_mark_and_readers_skip_one(tmp_path):
     assert table.getvalue() == "graph_id,e0\ng1,0.5\ng2,-2.0\n"
     ids, rows = read_id_table(io.StringIO("\ufeff" + table.getvalue()), "embedding")
     assert ids == ["g1", "g2"] and rows.tolist() == [[0.5], [-2.0]]
+
+
+def test_read_json_rejects_a_key_repeated_in_any_object(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text('{"clustering": {"kmeans": {"labels": {"ch00": 0, "ch00": 1}}}}')
+    with pytest.raises(MobgraphError) as err:
+        read_json(target, "clustering.kmeans.labels")
+    assert str(err.value) == f"{target}: key 'ch00' appears more than once"
