@@ -1,14 +1,13 @@
 """Command-line entry points. Each stage subcommand runs the pipeline's own
-stage functions (see pipeline.STAGES) on the inputs it is given; `pipeline`
-chains them all. Settings resolve the same way everywhere: defaults, then
---config, then $MOBGRAPH_THREADS for threads, then flags, and every setting
-flag is generated from a PipelineConfig field."""
+stage functions (see pipeline.STAGES) on the inputs it is given, so chained
+they write the bytes `pipeline` writes. Settings resolve the same way
+everywhere: defaults, then --config, then flags, and every setting flag is
+generated from a PipelineConfig field. One printer shows a report.json."""
 
 from __future__ import annotations
 
 import argparse
 import inspect
-import os
 import signal
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ from . import pipeline
 from . import reduce as reduce_mod
 from . import synth as synth_mod
 from .errors import MobgraphError
-from .textio import has_type, read_json, write_json
+from .textio import has_type, json_value, read_json, write_json
 from .pipeline import (
     CHOICES,
     CONFIG_FIELDS,
@@ -31,7 +30,7 @@ from .pipeline import (
     run_pipeline,
 )
 
-THREADS_ENV = "MOBGRAPH_THREADS"
+CLUSTER_JSON = "cluster.json"  # what `cluster` writes of the report: its clustering
 # What `report` prints of a report.json, checked before anything is printed.
 REPORT_KEYS = (
     *(f"clustering.kmeans.{k}" for k in ("selected_k", "silhouette", "davies_bouldin")),
@@ -114,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_stage(sub, "cliques", cmd_cliques, "comment table -> cliques.csv census")
     p.add_argument("--report", default=None,
-                   help="report.json supplying cluster labels for the census rows")
+                   help="report.json or cluster.json: the census rows' cluster labels")
 
     p = sub.add_parser("synth", help="write a synthetic two-family corpus")
     p.add_argument("--out", default="out")
@@ -136,20 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args: argparse.Namespace) -> PipelineConfig:
     file_values = load_config_file(args.config) if args.config else {}
-    raw = os.environ.get(THREADS_ENV)
-    if raw is not None:
-        try:
-            file_values["threads"] = int(raw)
-        except ValueError:
-            raise MobgraphError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
     flags = {k: v for k, v in vars(args).items() if k in CONFIG_FIELDS}
     return resolve_config(file_values, flags)
 
 
-def _state(args: argparse.Namespace) -> RunState:
-    """A fresh run state for a subcommand that writes to its --out."""
+def _state(args: argparse.Namespace, *writes: str) -> RunState:
+    """A fresh run state for a subcommand that writes the files the glob
+    patterns `writes` name into its --out, which its input must not be."""
     config = _config(args)
-    Path(config.out).mkdir(parents=True, exist_ok=True)
+    out = Path(config.out)
+    pipeline.check_input(vars(args).get("artifact", config.input),
+                         [path for pattern in writes for path in out.glob(pattern)])
+    out.mkdir(parents=True, exist_ok=True)
     return RunState(config)
 
 
@@ -171,7 +168,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_graphs(args: argparse.Namespace) -> int:
-    state = _state(args)
+    state = _state(args, "*.gexf")
     pipeline.read_comments(state)
     if args.merged:  # one graph over the whole corpus
         state.records = {None: [r for c in state.channels for r in state.records[c]]}
@@ -184,55 +181,48 @@ def cmd_graphs(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    state = _state(args)
+    state = _state(args, pipeline.ARTIFACTS["embeddings"])
     _run_steps(state, STEPS["embed"])
     matrix = state.matrix
-    print(f"{state.out_dir / 'embeddings.csv'}: {len(matrix.graph_ids)} graphs, "
+    print(f"{state.out_dir / pipeline.ARTIFACTS['embeddings']}: {len(matrix.graph_ids)} graphs, "
           f"dim {matrix.dim}, vocabulary {len(state.vocab)}")
     return 0
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    state = _state(args)
+    state = _state(args, pipeline.ARTIFACTS["reduced"])
     state.matrix = embed_mod.read_embeddings_csv(args.artifact)
     pipeline.reduce_points(state)
     coords, info = state.coords, state.reduce_info
-    print(f"{state.out_dir / 'reduced.csv'}: {coords.shape[0]} points in "
+    print(f"{state.out_dir / pipeline.ARTIFACTS['reduced']}: {coords.shape[0]} points in "
           f"{coords.shape[1]} dimensions "
           f"(a={info['a']:.4f}, b={info['b']:.4f}, init={info['init']})")
     return 0
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    state = _state(args)
+    state = _state(args, CLUSTER_JSON, pipeline.ARTIFACTS["dendrogram"])
     state.channels, state.coords = reduce_mod.read_reduced_csv(args.artifact)
     pipeline.cluster_points(state)
-    clustering = state.clustering
-    write_json(clustering, state.out_dir / "cluster.json")
-    print(f"k-means selected k={clustering['kmeans']['selected_k']} "
-          f"(silhouette {clustering['kmeans']['silhouette']:.4f})")
-    print(f"cut-tree selected k={clustering['hierarchical']['selected_k']} "
-          f"(silhouette {clustering['hierarchical']['silhouette']:.4f})")
-    coph = clustering["hierarchical"]["cophenetic_correlation"]
-    if coph is not None:
-        print(f"cophenetic correlation: {coph:.4f}")
+    write_json(state.clustering, state.out_dir / CLUSTER_JSON)
+    _print_clustering(state.clustering)
     return 0
 
 
 def cmd_cliques(args: argparse.Namespace) -> int:
-    state = _state(args)
-    if args.report:
-        clustering = read_json(args.report, "clustering.kmeans.labels")["clustering"]
-        labels = clustering["kmeans"]["labels"]
+    state = _state(args, pipeline.ARTIFACTS["cliques"])
+    if args.report:  # a report.json, or a cluster.json: the report's clustering
+        data = read_json(args.report)
+        key = "kmeans.labels" if "kmeans" in data else "clustering.kmeans.labels"
+        labels = json_value(data, key, args.report)
         if not isinstance(labels, dict) or not all(has_type(v, int) for v in labels.values()):
-            raise MobgraphError(f"{args.report}: 'clustering.kmeans.labels' must be an "
-                                "object of integers")
-        state.clustering = clustering
+            raise MobgraphError(f"{args.report}: {key!r} must be an object of integers")
+        state.clustering = {"kmeans": {"labels": labels}}
     _run_steps(state, STEPS["cliques"])
     for census in sorted(state.censuses, key=lambda c: (-c.count, c.channel_id)):
         print(f"  {census.channel_id}: {census.count} maximal cliques "
               f">= {census.min_size} members")
-    print(f"wrote {state.out_dir / 'cliques.csv'}")
+    print(f"wrote {state.out_dir / pipeline.ARTIFACTS['cliques']}")
     return 0
 
 
@@ -254,27 +244,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     config = _config(args)
-    report = run_pipeline(config)
-    km = report["clustering"]["kmeans"]
-    print(f"channels: {len(report['channels'])}")
-    print(f"k-means selected k={km['selected_k']} (silhouette {km['silhouette']:.4f})")
-    top = report["ranking"]["overall"][:3]
-    for channel, cluster, count in top:
-        print(f"  {channel} (cluster {cluster}): {count} cliques "
-              f">= {report['cliques']['min_size']} members")
-    print(f"report: {Path(config.out) / 'report.json'}")
+    _print_report(run_pipeline(config))
+    print(f"report: {Path(config.out) / pipeline.REPORT}")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     report = read_json(args.input, *REPORT_KEYS)
-    km = report["clustering"]["kmeans"]
-    hier = report["clustering"]["hierarchical"]
-    for name, scores in (("kmeans", km), ("hierarchical", hier)):
-        if not has_type(scores["silhouette"], float):
+    for name in ("kmeans", "hierarchical"):
+        if not has_type(report["clustering"][name]["silhouette"], float):
             raise MobgraphError(f"{args.input}: 'clustering.{name}.silhouette' must be a number")
-    channels, warnings = report["channels"], report.get("warnings", [])
-    for key, value in (("channels", channels), ("warnings", warnings)):
+    for key in ("channels", "warnings"):
+        value = report.get(key, [])
         if not isinstance(value, list) or not all(has_type(v, str) for v in value):
             raise MobgraphError(f"{args.input}: {key!r} must be a list of strings")
     rows = report["ranking"]["overall"]
@@ -284,20 +265,31 @@ def cmd_report(args: argparse.Namespace) -> int:
     ):
         raise MobgraphError(f"{args.input}: 'ranking.overall' must be a list of "
                             "[channel, cluster, count] rows")
-    print(f"channels ({len(channels)}): {', '.join(channels)}")
+    _print_report(report)
+    return 0
+
+
+def _print_clustering(clustering: dict) -> None:
+    km, hier = clustering["kmeans"], clustering["hierarchical"]
     print(f"k-means: k={km['selected_k']}, silhouette {km['silhouette']:.4f}, "
           f"Davies-Bouldin {km['davies_bouldin']}")
     print(f"cut-tree: k={hier['selected_k']}, silhouette {hier['silhouette']:.4f}, "
           f"Davies-Bouldin {hier['davies_bouldin']}, "
           f"cophenetic {hier['cophenetic_correlation']}")
+
+
+def _print_report(report: dict) -> None:
+    """The summary `report` and `pipeline` print of a report.json."""
+    channels, warnings = report["channels"], report.get("warnings", [])
+    print(f"channels ({len(channels)}): {', '.join(channels)}")
+    _print_clustering(report["clustering"])
     print(f"clique census (min size {report['cliques']['min_size']}):")
-    for channel, cluster, count in rows:
+    for channel, cluster, count in report["ranking"]["overall"]:
         print(f"  {channel} (cluster {cluster}): {count}")
     if warnings:
         print("warnings:")
         for message in warnings:
             print(f"  {message}")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -309,12 +309,20 @@ class RunState:
         self.close(kill=exc_type is not None)
 
 
+def check_input(path: str | None, outputs=()) -> str:
+    """path, the input file; InvalidConfig when it is unset, or when it is one
+    of outputs, the files a run overwrites or deletes, by any path or link."""
+    if path is None:
+        raise InvalidConfig("no input file configured")
+    if os.path.exists(path) and any(o.exists() and os.path.samefile(path, o) for o in outputs):
+        raise InvalidConfig(f"input {path} is a file this run overwrites or deletes")
+    return path
+
+
 def read_comments(state: RunState, on_duplicate: str = "warn") -> None:
     config = state.config
-    if config.input is None:
-        raise InvalidConfig("no input file configured")
     records = ingest_mod.parse_comments(
-        config.input, format=config.format, on_duplicate=on_duplicate
+        check_input(config.input), format=config.format, on_duplicate=on_duplicate
     )
     state.records = {}
     for record in records:
@@ -500,13 +508,17 @@ def fields_read(steps) -> list[str]:
     return [name for name in CONFIG_FIELDS if name in wanted]
 
 
-def _remove_artifacts(out_dir: Path) -> None:
-    """Delete what run_pipeline writes in out_dir, temp files of a write cut
-    short included. Other files in out_dir are kept."""
+def _artifact_paths(out_dir: Path) -> list[Path]:
+    """What run_pipeline writes in out_dir, temp files of a write cut short
+    included. Other files in out_dir are not its own."""
     names = (INCOMPLETE_MARKER, REPORT, *ARTIFACTS.values())
     graphs = out_dir / GRAPHS_DIR
-    for path in (*(out_dir / name for name in names), *graphs.glob("*.gexf"),
-                 *temp_files(out_dir, *names), *temp_files(graphs, "*.gexf")):
+    return [*(out_dir / name for name in names), *graphs.glob("*.gexf"),
+            *temp_files(out_dir, *names), *temp_files(graphs, "*.gexf")]
+
+
+def _remove_artifacts(out_dir: Path) -> None:
+    for path in _artifact_paths(out_dir):
         path.unlink(missing_ok=True)
 
 
@@ -514,6 +526,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """Execute every stage and return the consolidated report (also written
     to out/report.json)."""
     out_dir = Path(config.out)
+    check_input(config.input, _artifact_paths(out_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
     marker = out_dir / INCOMPLETE_MARKER
     _remove_artifacts(out_dir)

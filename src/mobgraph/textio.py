@@ -115,9 +115,9 @@ JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def read_json(path: str | Path, *keys: str) -> dict:
-    """The JSON object in path, which must hold each of keys; anything else,
-    a key repeated in one object included, is a MobgraphError naming the
-    file. A dotted key such as "clustering.kmeans" asks for nested objects."""
+    """The JSON object in path, which must hold each of keys (see
+    json_value); anything else, a key repeated in one object included, is a
+    MobgraphError naming the file."""
     with open_text(path) as stream:
         try:
             data = JSON_DECODER.decode(stream.read())
@@ -126,13 +126,19 @@ def read_json(path: str | Path, *keys: str) -> dict:
     if not isinstance(data, dict):
         raise MobgraphError(f"{path}: expected a JSON object")
     for dotted in keys:
-        node, parents = data, []
-        for key in dotted.split("."):
-            if not isinstance(node, dict) or key not in node:
-                inside = f" in {'.'.join(parents)!r}" if parents else ""
-                raise MobgraphError(f"{path}: no {key!r} key{inside}")
-            node = node[key]
-            parents.append(key)
+        json_value(data, dotted, path)
+    return data
+
+
+def json_value(data: dict, dotted: str, path: str | Path) -> object:
+    """data's value at a key, dotted for nested objects ("clustering.kmeans");
+    a missing key is a MobgraphError naming path, the file data was read from."""
+    keys = dotted.split(".")
+    for i, key in enumerate(keys):
+        if not isinstance(data, dict) or key not in data:
+            inside = f" in {'.'.join(keys[:i])!r}" if i else ""
+            raise MobgraphError(f"{path}: no {key!r} key{inside}")
+        data = data[key]
     return data
 
 

@@ -309,6 +309,68 @@ def test_pipeline_clears_stale_marker(corpus_dir, tmp_path):
     assert not (out / "INCOMPLETE").exists()
 
 
+def test_pipeline_without_input_makes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["pipeline"]) == 1
+    assert capsys.readouterr().err == "error: invalid config: no input file configured\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["cliques.csv", "report.json", "graphs/x.gexf", "link"])
+def test_pipeline_refuses_an_input_it_would_delete(corpus_dir, tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / "graphs").mkdir(parents=True)
+    comments = corpus_dir / "comments.csv"
+    flags = []
+    if name == "report.json":  # the comment table as JSON lines
+        with open(comments, encoding="utf-8", newline="") as f:
+            (out / name).write_text("".join(json.dumps(row) + "\n" for row in csv.DictReader(f)))
+        flags = ["--format", "json-lines"]
+    elif name == "link":  # a link outside --out to one of its artifacts
+        shutil.copyfile(comments, out / "cliques.csv")
+        (tmp_path / name).symlink_to(out / "cliques.csv")
+    else:
+        shutil.copyfile(comments, out / name)
+    source = tmp_path / name if name == "link" else out / name
+    before = read_bytes(source)
+    assert main(["pipeline", "--input", str(source), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid config: input {source} is a file this run overwrites or deletes\n")
+    assert read_bytes(source) == before
+    assert not (out / "INCOMPLETE").exists()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("graphs", "ch00.gexf"), ("embed", "embeddings.csv"), ("reduce", "reduced.csv"),
+    ("cluster", "cluster.json"), ("cluster", "dendrogram.json"), ("cliques", "cliques.csv"),
+])
+def test_stage_refuses_an_input_it_would_overwrite(corpus_dir, pipeline_out, tmp_path,
+                                                   capsys, monkeypatch, command, name):
+    # Each input holds what the command reads, so only the check can stop it.
+    source = {"reduce": pipeline_out / "embeddings.csv",
+              "cluster": pipeline_out / "reduced.csv"}.get(command, corpus_dir / "comments.csv")
+    monkeypatch.chdir(tmp_path)  # a relative path names the same file
+    Path("out").mkdir()
+    shutil.copyfile(source, Path("out", name))
+    assert main([command, "--input", f"out/{name}", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid config: input out/{name} is a file this run overwrites or deletes\n")
+    assert read_bytes(Path("out", name)) == read_bytes(source)
+    assert os.listdir("out") == [name]
+
+
+def test_chains_reading_one_artifact_and_writing_another_run(corpus_dir, pipeline_out,
+                                                              tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    shutil.copyfile(corpus_dir / "comments.csv", out / "comments.csv")
+    for command, name, written in (("reduce", "embeddings.csv", "reduced.csv"),
+                                   ("cluster", "reduced.csv", "dendrogram.json"),
+                                   ("pipeline", "comments.csv", "cliques.csv")):
+        assert main([command, "--input", str(out / name), "--out", str(out)]) == 0, command
+        assert read_bytes(out / written) == read_bytes(pipeline_out / written), command
+
+
 def synth_corpus(path, channels):
     assert main(["synth", "--out", str(path), "--channels", str(channels),
                  "--videos", "10", "--organic", "12"]) == 0
@@ -776,22 +838,6 @@ def test_min_dist_outside_zero_to_spread_fails_before_ingest(tmp_path, capsys, f
         resolve_config({}, {"umap_min_dist": 0.5, "umap_spread": 0.5})
 
 
-def test_threads_env_fallback(corpus_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("MOBGRAPH_THREADS", "2")
-    out = tmp_path / "env"
-    code = main(["pipeline", "--input", str(corpus_dir / "comments.csv"),
-                 "--out", str(out), "--seed", "0"])
-    assert code == 0
-    assert json.loads((out / "report.json").read_text())["config"]["threads"] == 2
-
-
-def test_threads_env_invalid(monkeypatch, capsys):
-    monkeypatch.setenv("MOBGRAPH_THREADS", "many")
-    code = main(["pipeline", "--input", "whatever.csv"])
-    assert code == 1
-    assert "MOBGRAPH_THREADS" in capsys.readouterr().err
-
-
 def test_resolve_config_layers():
     config = resolve_config({"dim": 32}, {"seed": 9, "k_max": None})
     assert config.dim == 32
@@ -908,6 +954,34 @@ def test_stagewise_chain_matches_pipeline_tuned_config(corpus_dir, tmp_path, cap
                          ["--config", str(config_path)])
 
 
+def test_stage_chain_writes_the_pipeline_bytes(corpus_dir, pipeline_out, tmp_path, capsys):
+    """graphs, embed, reduce, cluster and cliques --report cluster.json, all
+    into one --out, with pipeline_out's settings (the defaults)."""
+    comments, out = str(corpus_dir / "comments.csv"), tmp_path / "stages"
+    for argv in (["graphs", "--input", comments], ["embed", "--input", comments],
+                 ["reduce", "--input", str(out / "embeddings.csv")],
+                 ["cluster", "--input", str(out / "reduced.csv")],
+                 ["cliques", "--input", comments, "--report", str(out / "cluster.json")]):
+        assert main([*argv, "--out", str(out)]) == 0, argv[0]
+    gexf = sorted(p.name for p in (pipeline_out / "graphs").glob("*.gexf"))
+    assert sorted(p.name for p in out.glob("*.gexf")) == gexf
+    for name in gexf:
+        assert read_bytes(out / name) == read_bytes(pipeline_out / "graphs" / name), name
+    for name in ("embeddings.csv", "reduced.csv", "dendrogram.json", "cliques.csv"):
+        assert read_bytes(out / name) == read_bytes(pipeline_out / name), name
+    report = json.loads((pipeline_out / "report.json").read_text())
+    assert json.loads((out / "cluster.json").read_text()) == report["clustering"]
+
+
+def test_pipeline_prints_what_report_prints(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--input", str(corpus_dir / "comments.csv"),
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["report", "--input", str(out / "report.json")]) == 0
+    assert printed == capsys.readouterr().out + f"report: {out / 'report.json'}\n"
+
+
 def test_hostile_channel_id_writes_nothing_outside_out(tmp_path, capsys):
     # Unchecked, graphs/../../escaped.gexf would land in tmp_path itself.
     source = tmp_path / "comments.csv"
@@ -951,8 +1025,7 @@ def test_stage_flags_are_the_fields_their_steps_read():
         assert set(fields_read(steps)) <= set(CONFIG_FIELDS), name
 
 
-def test_no_flags_resolve_to_default_config(monkeypatch):
-    monkeypatch.delenv("MOBGRAPH_THREADS", raising=False)
+def test_no_flags_resolve_to_default_config():
     parser = build_parser()
     assert _config(parser.parse_args(["pipeline"])) == PipelineConfig()
     for name in STEPS:
