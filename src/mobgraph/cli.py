@@ -1,8 +1,10 @@
-"""Command-line entry points. Each stage subcommand runs the pipeline's own
-stage functions (see pipeline.STAGES) on the inputs it is given, so chained
-they write the bytes `pipeline` writes. Settings resolve the same way
-everywhere: defaults, then --config, then flags, and every setting flag is
-generated from a PipelineConfig field. One printer shows a report.json."""
+"""Command-line entry points. Each stage subcommand runs its entries of
+pipeline.STAGES through pipeline.run_steps, the lifecycle `pipeline` runs
+all of them through: so chained they write the bytes `pipeline` writes, and
+a failed run leaves only an INCOMPLETE marker in --out. Settings resolve the
+same way everywhere: defaults, then --config, then flags, and every setting
+flag is generated from a PipelineConfig field. One printer shows a
+report.json."""
 
 from __future__ import annotations
 
@@ -39,15 +41,29 @@ REPORT_KEYS = (
     "channels", "cliques.min_size", "ranking.overall",
 )
 
-# Stage subcommand -> the pipeline steps it runs, in order. Its flags are
-# the config fields those steps read.
+
+def _stages(*steps) -> tuple:
+    """The pipeline.STAGES entries of the given steps, in run order."""
+    return tuple(entry for entry in pipeline.STAGES if entry[1] in steps)
+
+
+def _write_cluster_json(state: RunState) -> None:
+    write_json(state.clustering, state.out_dir / CLUSTER_JSON)
+
+
+# Stage subcommand -> (the STAGES entries it runs, the glob patterns of what
+# it writes into --out): pipeline.run_steps' arguments. Its flags are the
+# config fields those entries read.
 STEPS = {
-    "ingest": (pipeline.read_comments,),
-    "graphs": (pipeline.read_comments, pipeline.write_graphs),
-    "embed": (pipeline.read_comments, pipeline.extract_documents, pipeline.embed_documents),
-    "reduce": (pipeline.reduce_points,),
-    "cluster": (pipeline.cluster_points,),
-    "cliques": (pipeline.read_comments, pipeline.start_census, pipeline.count_cliques),
+    "ingest": (_stages(pipeline.read_comments), ()),
+    "graphs": (_stages(pipeline.read_comments, pipeline.write_graphs), ("*.gexf",)),
+    "embed": (_stages(pipeline.read_comments, pipeline.extract_documents,
+                      pipeline.embed_documents), (pipeline.ARTIFACTS["embeddings"],)),
+    "reduce": (_stages(pipeline.reduce_points), (pipeline.ARTIFACTS["reduced"],)),
+    "cluster": ((*_stages(pipeline.cluster_points), ("cluster", _write_cluster_json, ())),
+                (CLUSTER_JSON, pipeline.ARTIFACTS["dendrogram"])),
+    "cliques": (_stages(pipeline.read_comments, pipeline.start_census, pipeline.count_cliques),
+                (pipeline.ARTIFACTS["cliques"],)),
 }
 
 
@@ -62,19 +78,15 @@ def add_config_flags(parser: argparse.ArgumentParser, names) -> None:
                             help=f"default: {CONFIG_FIELDS[name].default}")
 
 
-def _add_stage(sub, name: str, func, help: str, input_help: str | None = None):
-    """A stage subcommand: --input, --out, and the flags of the config fields
-    its steps read. --input names the comment table unless input_help says
-    otherwise; it then lands in `args.artifact`, not in the config."""
+def _add_stage(sub, name: str, func, help: str):
+    """A stage subcommand: --input, the file help names before its arrow,
+    --out, and the flags of the config fields its steps read."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(func=func)
-    if input_help is None:
-        p.add_argument("--input", required=True, help="comment table path")
-    else:
-        p.add_argument("--input", dest="artifact", required=True, help=input_help)
+    p.add_argument("--input", required=True, help=help.split(" -> ")[0] + " path")
     if name != "ingest":
         p.add_argument("--out", default=None, help="output directory")
-    add_config_flags(p, pipeline.fields_read(STEPS[name]))
+    add_config_flags(p, pipeline.fields_read(STEPS[name][0]))
     return p
 
 
@@ -97,19 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_stage(sub, "ingest", cmd_ingest, "parse and validate a comment table")
+    p = _add_stage(sub, "ingest", cmd_ingest,
+                   "comment table -> parsed, validated and counted per channel")
     p.add_argument("--strict", action="store_true",
                    help="error on duplicate comment ids instead of dropping them")
 
-    p = _add_stage(sub, "graphs", cmd_graphs, "comment table -> one GEXF file per channel")
-    p.add_argument("--merged", action="store_true",
-                   help="one merged graph over the whole corpus instead of per channel")
-
+    _add_stage(sub, "graphs", cmd_graphs, "comment table -> one GEXF file per channel")
     _add_stage(sub, "embed", cmd_embed, "comment table -> embeddings.csv")
-    _add_stage(sub, "reduce", cmd_reduce, "embeddings.csv -> reduced.csv",
-               input_help="embeddings CSV path")
-    _add_stage(sub, "cluster", cmd_cluster, "reduced.csv -> cluster.json + dendrogram.json",
-               input_help="reduced CSV path")
+    _add_stage(sub, "reduce", cmd_reduce, "embeddings.csv -> reduced.csv")
+    _add_stage(sub, "cluster", cmd_cluster, "reduced.csv -> cluster.json + dendrogram.json")
 
     p = _add_stage(sub, "cliques", cmd_cliques, "comment table -> cliques.csv census")
     p.add_argument("--report", default=None,
@@ -139,24 +147,6 @@ def _config(args: argparse.Namespace) -> PipelineConfig:
     return resolve_config(file_values, flags)
 
 
-def _state(args: argparse.Namespace, *writes: str) -> RunState:
-    """A fresh run state for a subcommand that writes the files the glob
-    patterns `writes` name into its --out, which its input must not be."""
-    config = _config(args)
-    out = Path(config.out)
-    pipeline.check_input(vars(args).get("artifact", config.input),
-                         [path for pattern in writes for path in out.glob(pattern)])
-    out.mkdir(parents=True, exist_ok=True)
-    return RunState(config)
-
-
-def _run_steps(state: RunState, steps) -> None:
-    """Run the steps in order, then shut down the state's worker pool."""
-    with state:
-        for step in steps:
-            step(state)
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     state = RunState(_config(args))
     pipeline.read_comments(state, on_duplicate="error" if args.strict else "warn")
@@ -168,12 +158,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_graphs(args: argparse.Namespace) -> int:
-    state = _state(args, "*.gexf")
-    pipeline.read_comments(state)
-    if args.merged:  # one graph over the whole corpus
-        state.records = {None: [r for c in state.channels for r in state.records[c]]}
-        state.channels = [None]
-    _run_steps(state, STEPS["graphs"][1:])
+    state = RunState(_config(args))
+    pipeline.run_steps(state, *STEPS["graphs"])
     for name, stats in state.graph_stats.items():
         path = state.out_dir / f"{name}.gexf"
         print(f"{path}: {stats['nodes']} nodes, {stats['edges']} edges")
@@ -181,8 +167,8 @@ def cmd_graphs(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    state = _state(args, pipeline.ARTIFACTS["embeddings"])
-    _run_steps(state, STEPS["embed"])
+    state = RunState(_config(args))
+    pipeline.run_steps(state, *STEPS["embed"])
     matrix = state.matrix
     print(f"{state.out_dir / pipeline.ARTIFACTS['embeddings']}: {len(matrix.graph_ids)} graphs, "
           f"dim {matrix.dim}, vocabulary {len(state.vocab)}")
@@ -190,9 +176,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    state = _state(args, pipeline.ARTIFACTS["reduced"])
-    state.matrix = embed_mod.read_embeddings_csv(args.artifact)
-    pipeline.reduce_points(state)
+    state = RunState(_config(args))
+    state.matrix = embed_mod.read_embeddings_csv(state.config.input)
+    pipeline.run_steps(state, *STEPS["reduce"])
     coords, info = state.coords, state.reduce_info
     print(f"{state.out_dir / pipeline.ARTIFACTS['reduced']}: {coords.shape[0]} points in "
           f"{coords.shape[1]} dimensions "
@@ -201,16 +187,15 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    state = _state(args, CLUSTER_JSON, pipeline.ARTIFACTS["dendrogram"])
-    state.channels, state.coords = reduce_mod.read_reduced_csv(args.artifact)
-    pipeline.cluster_points(state)
-    write_json(state.clustering, state.out_dir / CLUSTER_JSON)
+    state = RunState(_config(args))
+    state.channels, state.coords = reduce_mod.read_reduced_csv(state.config.input)
+    pipeline.run_steps(state, *STEPS["cluster"])
     _print_clustering(state.clustering)
     return 0
 
 
 def cmd_cliques(args: argparse.Namespace) -> int:
-    state = _state(args, pipeline.ARTIFACTS["cliques"])
+    state = RunState(_config(args))
     if args.report:  # a report.json, or a cluster.json: the report's clustering
         data = read_json(args.report)
         key = "kmeans.labels" if "kmeans" in data else "clustering.kmeans.labels"
@@ -218,7 +203,7 @@ def cmd_cliques(args: argparse.Namespace) -> int:
         if not isinstance(labels, dict) or not all(has_type(v, int) for v in labels.values()):
             raise MobgraphError(f"{args.report}: {key!r} must be an object of integers")
         state.clustering = {"kmeans": {"labels": labels}}
-    _run_steps(state, STEPS["cliques"])
+    pipeline.run_steps(state, *STEPS["cliques"])
     for census in sorted(state.censuses, key=lambda c: (-c.count, c.channel_id)):
         print(f"  {census.channel_id}: {census.count} maximal cliques "
               f">= {census.min_size} members")

@@ -179,7 +179,7 @@ def _search(subproblems: Iterable[_Subproblem], budget: int,
         nonlocal emitted
         emitted += 1
         if emitted > budget:
-            raise CliqueBudgetExceeded(budget, name or None)
+            raise CliqueBudgetExceeded(budget, name)
         emit(members, universe)
 
     def expand(r: int, p: int, x: int) -> None:

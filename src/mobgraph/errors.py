@@ -39,7 +39,7 @@ class DuplicateCommentId(MobgraphError):
 
 
 class EmptyChannel(MobgraphError):
-    def __init__(self, channel: str | None):
+    def __init__(self, channel: str):
         super().__init__(f"no comment records for channel {channel!r}")
         self.channel = channel
 
@@ -117,7 +117,7 @@ class CoincidentCentroids(MobgraphError):
 # --- cliques ----------------------------------------------------------------
 
 class CliqueBudgetExceeded(MobgraphError):
-    def __init__(self, budget: int, channel: str | None = None):
+    def __init__(self, budget: int, channel: str = ""):
         where = f" on channel {channel!r}" if channel else ""
         super().__init__(f"maximal clique count exceeded budget {budget}{where}")
         self.budget = budget

@@ -172,24 +172,18 @@ def channels_in(records: Iterable[CommentRecord]) -> list[str]:
 
 def build_co_commenter_graph(
     records: Iterable[CommentRecord],
-    channel: str | None,
+    channel: str,
     min_shared_videos: int = 1,
 ) -> Graph:
     """Build the weighted co-commenter graph for one channel.
 
-    channel=None merges the whole corpus into a single graph (cross-channel
-    edges included). Multiple comments by one commenter on one video count
-    once. Edges below min_shared_videos are dropped, and a commenter left
-    without a retained edge is not a node.
+    Multiple comments by one commenter on one video count once. Edges below
+    min_shared_videos are dropped, and a commenter left without a retained
+    edge is not a node.
     """
     if min_shared_videos < 1:
         raise ValueError(f"min_shared_videos must be >= 1, got {min_shared_videos}")
-    if channel is None:
-        selected = list(records)
-        name = "merged"
-    else:
-        selected = [r for r in records if r.channel_id == channel]
-        name = channel
+    selected = [r for r in records if r.channel_id == channel]
     if not selected:
         raise EmptyChannel(channel)
 
@@ -218,4 +212,4 @@ def build_co_commenter_graph(
     # A commenter left without an edge is not a node.
     nodes = np.flatnonzero(np.bincount(np.concatenate([u, v]), minlength=n))
     u, v = (np.searchsorted(nodes, end).astype(np.int32) for end in (u, v))
-    return Graph(name, [commenters[i] for i in nodes.tolist()], u, v, shared[kept])
+    return Graph(channel, [commenters[i] for i in nodes.tolist()], u, v, shared[kept])

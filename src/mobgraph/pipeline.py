@@ -4,11 +4,12 @@ Stage order: ingest -> graphs -> wl -> embed -> reduce -> cluster -> cliques
 -> rank -> report; the clique census is queued before embed and read after
 cluster, so with worker processes it runs behind those three. Each step is
 one function over a RunState; `STAGES` lists them in order with the config
-fields they read, and both run_pipeline and the CLI subcommands call these
-same functions. The first failing stage aborts the run, names itself in the
-raised error, and leaves an INCOMPLETE marker in the output directory in
-place of every artifact; so does an interrupt. Given one seed, two runs
-produce byte-identical artifacts except timings.
+fields they read. run_steps runs a list of them with one lifecycle:
+run_pipeline runs all of `STAGES`, and each CLI subcommand runs its own
+entries. A run first removes the outputs it writes; the first failing stage
+aborts it, names itself in the raised error, and leaves an INCOMPLETE marker
+in the output directory in place of those outputs; so does an interrupt.
+Given one seed, two runs produce byte-identical artifacts except timings.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ ARTIFACTS = {
     "dendrogram": "dendrogram.json",
     "cliques": "cliques.csv",
 }
+# Glob patterns, under config.out, of everything run_pipeline writes.
+WRITES = (REPORT, *ARTIFACTS.values(), f"{GRAPHS_DIR}/*.gexf")
 
 
 @dataclass
@@ -174,7 +177,7 @@ def _start_worker(state: RunState, parent: int) -> None:
     os.nice(10)
 
 
-def _run_channel(state: RunState, fn: Callable, channel: str | None, kwargs: dict) -> object:
+def _run_channel(state: RunState, fn: Callable, channel: str, kwargs: dict) -> object:
     """fn(graph, **kwargs) on the graph of one channel, built here from its
     records; the graph is dropped once fn returns."""
     config = state.config
@@ -185,7 +188,7 @@ def _run_channel(state: RunState, fn: Callable, channel: str | None, kwargs: dic
     return fn(graph, **kwargs)
 
 
-def _run_task(fn: Callable, channel: str | None, kwargs: dict) -> object:
+def _run_task(fn: Callable, channel: str, kwargs: dict) -> object:
     return _run_channel(_worker_state, fn, channel, kwargs)
 
 
@@ -227,10 +230,9 @@ class RunState:
 
     config: PipelineConfig
     gexf_dir: Path | None = None  # None: config.out
-    # The records of each channel, in input order. A None channel stands for
-    # one graph over the whole corpus, and its key holds all of the records.
-    records: dict[str | None, list[ingest_mod.CommentRecord]] = field(default_factory=dict)
-    channels: list[str | None] = field(default_factory=list)
+    # The records of each channel, in input order.
+    records: dict[str, list[ingest_mod.CommentRecord]] = field(default_factory=dict)
+    channels: list[str] = field(default_factory=list)
     graph_stats: dict[str, dict[str, int]] = field(default_factory=dict)  # by graph name
     documents: list[wl_mod.GraphDocument] = field(default_factory=list)
     vocab: embed_mod.Vocabulary | None = None
@@ -429,8 +431,14 @@ def cluster_points(state: RunState) -> None:
 def start_census(state: RunState) -> None:
     """Queue every channel's clique census with the run's workers, which
     count while this process embeds, reduces and clusters. Without workers
-    nothing runs until count_cliques reads the results."""
+    nothing runs until count_cliques reads the results. Labels set before
+    (cliques --report) must name exactly the channels read."""
     config = state.config
+    odd = sorted(state.labels.keys() ^ set(state.channels)) if state.clustering else []
+    if odd:
+        where = "input" if odd[0] in state.channels else "labels"
+        raise InvalidConfig("the cluster labels must name exactly the channels read: "
+                            f"{odd[0]!r} is only in the {where}")
     state.pending_censuses = _map_channels(
         state,
         cliques_mod.clique_census,
@@ -502,54 +510,62 @@ STAGES: tuple[tuple[str, Callable[[RunState], None], tuple[str, ...]], ...] = (
 )
 
 
-def fields_read(steps) -> list[str]:
-    """The config fields the given steps read, in PipelineConfig order."""
-    wanted = {name for _, step, names in STAGES if step in steps for name in names}
+def fields_read(stages) -> list[str]:
+    """The config fields the given STAGES entries read, in PipelineConfig order."""
+    wanted = {name for _, _, names in stages for name in names}
     return [name for name in CONFIG_FIELDS if name in wanted]
 
 
-def _artifact_paths(out_dir: Path) -> list[Path]:
-    """What run_pipeline writes in out_dir, temp files of a write cut short
-    included. Other files in out_dir are not its own."""
-    names = (INCOMPLETE_MARKER, REPORT, *ARTIFACTS.values())
-    graphs = out_dir / GRAPHS_DIR
-    return [*(out_dir / name for name in names), *graphs.glob("*.gexf"),
-            *temp_files(out_dir, *names), *temp_files(graphs, "*.gexf")]
+def _outputs(out_dir: Path, writes) -> list[Path]:
+    """The files in out_dir that the glob patterns `writes` name, with the
+    INCOMPLETE marker and the temp files of a write cut short. Other files
+    in out_dir are not the run's own."""
+    found = []
+    for pattern in (INCOMPLETE_MARKER, *writes):
+        directory, name = (out_dir / pattern).parent, Path(pattern).name
+        found += [*directory.glob(name), *temp_files(directory, name)]
+    return found
 
 
-def _remove_artifacts(out_dir: Path) -> None:
-    for path in _artifact_paths(out_dir):
-        path.unlink(missing_ok=True)
-
-
-def run_pipeline(config: PipelineConfig) -> dict:
-    """Execute every stage and return the consolidated report (also written
-    to out/report.json)."""
-    out_dir = Path(config.out)
-    check_input(config.input, _artifact_paths(out_dir))
+def run_steps(state: RunState, steps, writes) -> None:
+    """Run the (stage, step, fields) entries steps in order, adding up each
+    stage's seconds in state.timings. Before, refuse an input that is one of
+    the outputs, make config.out, and remove the outputs; on failure or
+    interrupt, remove them again and write INCOMPLETE naming the stage."""
+    out_dir = state.out_dir
+    check_input(state.config.input, _outputs(out_dir, writes))
     out_dir.mkdir(parents=True, exist_ok=True)
-    marker = out_dir / INCOMPLETE_MARKER
-    _remove_artifacts(out_dir)
-
-    collector = _WarningCollector()
-    root = logging.getLogger("mobgraph")
-    root.addHandler(collector)
-    state = RunState(config, gexf_dir=out_dir / GRAPHS_DIR, warnings=collector.messages)
-    stage = STAGES[0][0]
+    for path in _outputs(out_dir, writes):
+        path.unlink(missing_ok=True)
+    stage = steps[0][0]
     try:
         with state:  # the workers are gone before any cleanup below
-            for stage, step, _fields in STAGES:
+            for stage, step, _fields in steps:
                 started = time.perf_counter()
                 step(state)
                 elapsed = time.perf_counter() - started
                 state.timings[stage] = state.timings.get(stage, 0.0) + elapsed
-        return state.report
     except BaseException as exc:  # noqa: BLE001 - stage context is the contract
-        _remove_artifacts(out_dir)
+        for path in _outputs(out_dir, writes):
+            path.unlink(missing_ok=True)
+        marker = out_dir / INCOMPLETE_MARKER
         if not isinstance(exc, Exception):  # Ctrl-C, or a signal handler's exit
             marker.write_text(f"failed at stage: {stage}\ninterrupted\n", encoding="utf-8")
             raise
         marker.write_text(f"failed at stage: {stage}\n{exc}\n", encoding="utf-8")
         raise PipelineStageError(stage, exc) from exc
+
+
+def run_pipeline(config: PipelineConfig) -> dict:
+    """Execute every stage and return the consolidated report (also written
+    to out/report.json)."""
+    collector = _WarningCollector()
+    root = logging.getLogger("mobgraph")
+    root.addHandler(collector)
+    try:
+        state = RunState(config, gexf_dir=Path(config.out) / GRAPHS_DIR,
+                         warnings=collector.messages)
+        run_steps(state, STAGES, WRITES)
+        return state.report
     finally:
         root.removeHandler(collector)

@@ -621,7 +621,8 @@ def test_interrupted_graphs_command_leaves_no_temp_files(corpus_dir, tmp_path, c
     assert main(["graphs", "--input", str(corpus_dir / "comments.csv"),
                  "--out", str(out), "--threads", "2"]) == 130
     assert capsys.readouterr().err == "error: interrupted\n"
-    assert [f for f in files_under(out) if not f.endswith(".gexf")] == []
+    assert files_under(out) == ["INCOMPLETE"]
+    assert (out / "INCOMPLETE").read_text() == "failed at stage: graphs\ninterrupted\n"
     assert multiprocessing.active_children() == []
 
 
@@ -711,6 +712,50 @@ def test_smaller_rerun_leaves_no_stale_artifacts(ten_channel_out, corpus_dir,
     for report in reports:
         del report["config"]["out"]
     assert reports[0] == reports[1]
+
+
+def test_graphs_rerun_on_a_smaller_corpus_leaves_only_its_graphs(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "graphs"
+    for comments in (str(corpus_dir / "comments.csv"), synth_corpus(tmp_path / "small", 4)):
+        assert main(["graphs", "--input", comments, "--out", str(out)]) == 0
+    assert files_under(out) == [f"ch{c:02d}.gexf" for c in range(4)]
+
+
+def test_failed_stage_command_leaves_only_the_marker(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "embeddings.csv").write_text("graph_id,e0\nch00,1.0\n")  # an earlier run's
+    assert main(["embed", "--input", str(corpus_dir / "comments.csv"), "--out", str(out),
+                 "--min-count", "1000000"]) == 1
+    assert capsys.readouterr().err.startswith("error: stage 'embed' failed: ")
+    assert files_under(out) == ["INCOMPLETE"]
+    assert (out / "INCOMPLETE").read_text().startswith("failed at stage: embed\n")
+
+
+def test_stage_command_clears_a_stale_marker(pipeline_out, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "INCOMPLETE").write_text("failed at stage: embed\n")
+    assert main(["reduce", "--input", str(pipeline_out / "embeddings.csv"),
+                 "--out", str(out)]) == 0
+    assert files_under(out) == ["reduced.csv"]
+
+
+@pytest.mark.parametrize("case, odd", [("foreign", "'ch00' is only in the input"),
+                                       ("one too many", "'ch99' is only in the labels")])
+def test_cliques_labels_must_name_the_channels_read(corpus_dir, pipeline_out, tmp_path,
+                                                    capsys, case, odd):
+    clustering = json.loads((pipeline_out / "report.json").read_text())["clustering"]
+    labels = {"zz": 3} if case == "foreign" else {**clustering["kmeans"]["labels"], "ch99": 0}
+    source = tmp_path / "cluster.json"
+    source.write_text(json.dumps({"kmeans": {"labels": labels}}))
+    out = tmp_path / "out"
+    assert main(["cliques", "--input", str(corpus_dir / "comments.csv"), "--out", str(out),
+                 "--report", str(source)]) == 1
+    assert capsys.readouterr().err == (
+        "error: stage 'cliques' failed: invalid config: the cluster labels must name "
+        f"exactly the channels read: {odd}\n")
+    assert files_under(out) == ["INCOMPLETE"]
 
 
 # --- configuration layering ----------------------------------------------------------
@@ -901,14 +946,6 @@ def test_graphs_command(corpus_dir, tmp_path, capsys):
         str(out / f"ch{c:02d}.gexf") for c in range(8)
     ]
     assert_printed_counts_match_files(printed)
-    merged_out = tmp_path / "merged"
-    code = main(["graphs", "--input", str(corpus_dir / "comments.csv"),
-                 "--out", str(merged_out), "--merged"])
-    assert code == 0
-    assert [p.name for p in merged_out.glob("*.gexf")] == ["merged.gexf"]
-    printed = capsys.readouterr().out
-    assert printed.startswith(f"{merged_out / 'merged.gexf'}: ")
-    assert_printed_counts_match_files(printed)
 
 
 def assert_chain_matches(comments, pipeline_out, out, extra=()):
@@ -1016,9 +1053,9 @@ def test_pipeline_has_one_flag_per_config_field():
 
 
 def test_stage_flags_are_the_fields_their_steps_read():
-    own = {"input", "artifact", "out", "config", "strict", "merged", "report"}
+    own = {"input", "out", "config", "strict", "report"}
     parsers = subcommands()
-    for name, steps in STEPS.items():
+    for name, (steps, _writes) in STEPS.items():
         dests = flag_dests(parsers[name])
         assert len(dests) == len(set(dests)), name
         assert set(dests) - own == set(fields_read(steps)), name
@@ -1030,8 +1067,7 @@ def test_no_flags_resolve_to_default_config():
     assert _config(parser.parse_args(["pipeline"])) == PipelineConfig()
     for name in STEPS:
         args = parser.parse_args([name, "--input", "x.csv"])
-        expected = PipelineConfig(input=None if name in ("reduce", "cluster") else "x.csv")
-        assert _config(args) == expected, name
+        assert _config(args) == PipelineConfig(input="x.csv"), name
 
 
 def test_report_command(pipeline_out, capsys):
@@ -1231,10 +1267,10 @@ def test_cluster_on_too_few_rows_explains_the_k_range(pipeline_out, tmp_path, ca
     out = tmp_path / "out"
     assert main(["cluster", "--input", str(table), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"error: invalid config: {rows} channels leave no k to select with k_min=2, "
-        f"k_max=None (k_min must be >= 2 and k_max <= channels; k_max defaults to "
-        f"min(10, channels - 1))\n")
-    assert files_under(out) == []
+        f"error: stage 'cluster' failed: invalid config: {rows} channels leave no k to "
+        f"select with k_min=2, k_max=None (k_min must be >= 2 and k_max <= channels; "
+        f"k_max defaults to min(10, channels - 1))\n")
+    assert files_under(out) == ["INCOMPLETE"]
 
 
 def test_cluster_k_max_may_reach_the_row_count_but_not_pass_it(pipeline_out, tmp_path,
@@ -1243,10 +1279,10 @@ def test_cluster_k_max_may_reach_the_row_count_but_not_pass_it(pipeline_out, tmp
     out = tmp_path / "out"
     assert main(["cluster", "--input", reduced, "--out", str(out), "--k-max", "9"]) == 1
     assert capsys.readouterr().err == (
-        "error: invalid config: 8 channels leave no k to select with k_min=2, k_max=9 "
-        "(k_min must be >= 2 and k_max <= channels; k_max defaults to "
-        "min(10, channels - 1))\n")
-    assert files_under(out) == []
+        "error: stage 'cluster' failed: invalid config: 8 channels leave no k to select "
+        "with k_min=2, k_max=9 (k_min must be >= 2 and k_max <= channels; k_max defaults "
+        "to min(10, channels - 1))\n")
+    assert files_under(out) == ["INCOMPLETE"]
     assert main(["cluster", "--input", reduced, "--out", str(out), "--k-max", "8"]) == 0
     clustering = json.loads((out / "cluster.json").read_text(encoding="utf-8"))
     for method in ("kmeans", "hierarchical"):
@@ -1261,9 +1297,9 @@ def test_reduce_on_too_few_rows_names_umap_neighbors(pipeline_out, tmp_path, cap
     out = tmp_path / "out"
     assert main(["reduce", "--input", str(table), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"error: invalid config: {rows} channels is too few for umap_neighbors=5; "
-        f"reduce needs more channels than neighbours\n")
-    assert files_under(out) == []
+        f"error: stage 'reduce' failed: invalid config: {rows} channels is too few for "
+        f"umap_neighbors=5; reduce needs more channels than neighbours\n")
+    assert files_under(out) == ["INCOMPLETE"]
 
 
 @pytest.mark.parametrize("command", ["pipeline", "graphs", "reduce"])

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -222,8 +223,10 @@ def test_each_row_path_matches_set_based_reference(rows):
 def test_local_rows_match_global_rows_on_synthetic_channels():
     records, _ = synth.generate_corpus(synth.two_family_config(
         n_channels=4, videos_per_channel=12, organic_commenters=25))
-    graphs = [build_co_commenter_graph(records, channel)
-              for channel in [None, *sorted({r.channel_id for r in records})]]
+    whole = [dataclasses.replace(r, channel_id="all") for r in records]
+    graphs = [build_co_commenter_graph(whole, "all"),
+              *(build_co_commenter_graph(records, channel)
+                for channel in sorted({r.channel_id for r in records}))]
     for graph in [*graphs, random_graph(np.random.default_rng(38), 60, 0.6)]:
         assert search_histogram(graph, _local_rows) == search_histogram(graph, _global_rows)
 
@@ -297,14 +300,6 @@ def test_isolated_commenters_are_size_one_cliques():
     assert census.histogram[1] == 3
 
 
-def test_merged_graph_matches_reference():
-    records, _ = synth.generate_corpus(synth.two_family_config(
-        n_channels=4, videos_per_channel=8, organic_commenters=15))
-    graph = build_co_commenter_graph(records, None)
-    assert graph.name == "merged"
-    assert assert_matches_reference(graph) > 0
-
-
 def test_budget_boundary_is_exact():
     rng = np.random.default_rng(36)
     g = random_graph(rng, 40, 0.6, name="edge")
@@ -329,7 +324,7 @@ def test_count_cliques_same_census_for_one_and_two_threads(tmp_path):
         out = tmp_path / f"t{threads}"
         out.mkdir()
         with RunState(PipelineConfig(out=str(out), threads=threads), channels=channels,
-                      records={None: records, **by_channel}) as state:
+                      records=by_channel) as state:
             start_census(state)
             count_cliques(state)
         assert [c.channel_id for c in state.censuses] == channels

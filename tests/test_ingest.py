@@ -1,5 +1,6 @@
 import codecs
 import csv
+import dataclasses
 import io
 import json
 
@@ -373,7 +374,7 @@ def test_channels_in_sorted_unique():
 def reference_co_commenter_graph(records, channel, min_shared_videos=1):
     """The dict-of-dicts counting loop the array build replaced, as each
     node's neighbour-to-weight map; a node is a commenter with an edge."""
-    selected = [r for r in records if channel is None or r.channel_id == channel]
+    selected = [r for r in records if r.channel_id == channel]
     commenters_by_video = {}
     for r in selected:
         commenters_by_video.setdefault(r.video_id, set()).add(r.commenter_id)
@@ -406,9 +407,9 @@ def assert_matches_reference(graph, adjacency):
 
 
 def random_corpus(rng, n_records):
-    """Two channels drawing from one pool of video ids, so that merged mode
-    joins a video across channels, and commenters who comment on one video
-    more than once."""
+    """Two channels drawing from one pool of video ids, so that the records
+    relabelled to one channel join a video across channels, and commenters
+    who comment on one video more than once."""
     return [rec(f"c{rng.integers(2)}", f"v{rng.integers(12)}",
                 f"u{rng.integers(25):02d}", f"m{k}") for k in range(n_records)]
 
@@ -418,19 +419,12 @@ def test_array_build_matches_the_reference(min_shared_videos):
     rng = np.random.default_rng(100 + min_shared_videos)
     for trial in range(40):
         records = random_corpus(rng, int(rng.integers(1, 300)))
-        for channel in (*channels_in(records), None):
-            graph = build_co_commenter_graph(records, channel, min_shared_videos)
+        whole = [dataclasses.replace(r, channel_id="all") for r in records]
+        for corpus, channel in [*((records, c) for c in channels_in(records)),
+                                (whole, "all")]:
+            graph = build_co_commenter_graph(corpus, channel, min_shared_videos)
             assert_matches_reference(
-                graph, reference_co_commenter_graph(records, channel, min_shared_videos))
-
-
-def test_merged_mode_joins_a_video_id_across_channels():
-    records = [rec("c1", "v1", "A", "m1"), rec("c2", "v1", "B", "m2"),
-               rec("c2", "v1", "B", "m3")]
-    merged = build_co_commenter_graph(records, None)
-    assert merged.edges() == [("A", "B", 1.0)]
-    assert_matches_reference(merged, reference_co_commenter_graph(records, None))
-    assert build_co_commenter_graph(records, "c2").n_nodes == 0
+                graph, reference_co_commenter_graph(corpus, channel, min_shared_videos))
 
 
 def test_channel_without_shared_videos_is_an_empty_graph(tmp_path):
@@ -528,15 +522,3 @@ def test_empty_channel():
     records = [rec("c", "v", "u", "m")]
     with pytest.raises(EmptyChannel):
         build_co_commenter_graph(records, "other")
-
-
-def test_merged_mode_crosses_channels():
-    records = [
-        rec("c1", "v1", "A", "m1"), rec("c1", "v1", "B", "m2"),
-        rec("c2", "v2", "B", "m3"), rec("c2", "v2", "C", "m4"),
-    ]
-    merged = build_co_commenter_graph(records, None)
-    assert merged.name == "merged"
-    assert "B" in neighbours(merged, "A") and "C" in neighbours(merged, "B")
-    per = build_co_commenter_graph(records, "c1")
-    assert "C" not in per.ids
