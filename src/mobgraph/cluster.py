@@ -313,7 +313,8 @@ def davies_bouldin(points, labels) -> float:
         for j in range(k):
             if i == j:
                 continue
-            m = float(np.linalg.norm(centroids[i] - centroids[j]))
+            gap = centroids[i] - centroids[j]
+            m = float(np.sqrt((gap * gap).sum()))  # not np.linalg.norm: BLAS
             if m == 0.0:
                 raise CoincidentCentroids(int(clusters[i]), int(clusters[j]))
             worst = max(worst, (scatter[i] + scatter[j]) / m)

@@ -153,16 +153,24 @@ def _random_init(n: int, n_components: int, seed: int) -> np.ndarray:
     return rng_for(seed, "layout-init").uniform(-10.0, 10.0, (n, n_components))
 
 
+def _norm(x: np.ndarray) -> float:
+    return float(np.sqrt((x * x).sum()))
+
+
 def _spectral_init(strengths: np.ndarray, n_components: int, seed: int) -> np.ndarray:
     """Top non-trivial eigenvectors of (D^-1/2 W D^-1/2 + I)/2 by power
-    iteration with deflation; scaled so the largest coordinate is 10."""
+    iteration with deflation; scaled so the largest coordinate is 10.
+
+    Products and norms are numpy multiply-then-sum, not `@` or
+    np.linalg.norm: BLAS would pick a kernel per CPU, and with it the last
+    bits, which the iteration can carry into a different layout."""
     n = strengths.shape[0]
     degrees = strengths.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(degrees)
     m = (inv_sqrt[:, None] * strengths * inv_sqrt[None, :] + np.eye(n)) / 2.0
 
     trivial = np.sqrt(degrees)
-    trivial /= np.linalg.norm(trivial)
+    trivial /= _norm(trivial)
     basis = [trivial]
     columns = []
     for c in range(n_components):
@@ -171,18 +179,18 @@ def _spectral_init(strengths: np.ndarray, n_components: int, seed: int) -> np.nd
         while norm < 1e-12:  # redraw a start that lies in the span of the basis
             x = rng.uniform(-1.0, 1.0, n)
             for v in basis:
-                x -= (v @ x) * v
-            norm = np.linalg.norm(x)
+                x -= (v * x).sum() * v
+            norm = _norm(x)
         x /= norm
         for _ in range(1000):
-            nxt = m @ x
+            nxt = (m * x).sum(axis=1)
             for v in basis:
-                nxt -= (v @ nxt) * v
-            norm = np.linalg.norm(nxt)
+                nxt -= (v * nxt).sum() * v
+            norm = _norm(nxt)
             if norm < 1e-12:
                 break
             nxt /= norm
-            if np.linalg.norm(nxt - x) < 1e-6:
+            if _norm(nxt - x) < 1e-6:
                 x = nxt
                 break
             x = nxt

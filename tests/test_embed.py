@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
+from mobgraph import embed
 from mobgraph.embed import (
     EmbeddingMatrix,
     Vocabulary,
@@ -204,68 +205,74 @@ def test_single_token_vocabulary_trains_without_negatives():
 
 def reference_train_embeddings(documents, vocab, dim, initial_lr=0.025, epochs=10,
                                negative=5, seed=0, objective_out=None):
-    """The one-draw-per-call trainer the buffered loop replaced: a noise
-    uniform per random() call, a two-branch sigmoid, np.outer, and
-    np.add.at for every update. Slow, but each step is plainly the
-    algorithm."""
-
-    def sigmoid(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
-
+    """The lockstep trainer as plain loops over steps, documents and slots:
+    one noise uniform per random() call, one pair_gradients call per update,
+    and each token's gradients of a step summed in a dict before any vector
+    moves. Slow, but each step is plainly the algorithm."""
     ids = [d.graph_id for d in documents]
     final_lr = initial_lr / 100.0
     docvecs = np.empty((len(documents), dim))
     for i, gid in enumerate(ids):
         docvecs[i] = rng_for(seed, "doc", gid).uniform(-0.5 / dim, 0.5 / dim, dim)
     tokenvecs = rng_for(seed, "tokens").uniform(-0.5 / dim, 0.5 / dim, (len(vocab), dim))
-    token_ids = [
-        np.array([vocab.index[t] for t in d.tokens if t in vocab.index], dtype=np.int64)
-        for d in documents
-    ]
+    kept = [[vocab.index[t] for t in d.tokens if t in vocab.index] for d in documents]
     order = sorted(range(len(documents)), key=lambda i: ids[i])
-    pairs_per_epoch = sum(len(token_ids[i]) for i in order)
-    total_updates = epochs * pairs_per_epoch
+    n_steps = max(len(k) for k in kept)
+    total_steps = epochs * n_steps
+    pairs_per_epoch = sum(len(k) for k in kept)
     noise_rng = rng_for(seed, "noise")
     cum = _noise_cumulative(vocab)
     total_mass = float(cum[-1])
+
+    def draw():
+        return int(np.searchsorted(cum, noise_rng.random() * total_mass, side="right"))
+
+    if len(vocab) == 1:
+        negative = 0
     labels = np.zeros(1 + negative)
     labels[0] = 1.0
-    update = 0
+    # Noise is drawn for a block of steps at a time: as many steps as keep
+    # the block within NOISE_BLOCK updates when every document takes part.
+    block = max(1, embed.NOISE_BLOCK // max(1, sum(1 for k in kept if k)))
+    step = 0
     for _epoch in range(epochs):
         epoch_objective = 0.0
-        for di in order:
-            for w in token_ids[di]:
-                if total_updates > 1:
-                    lr = initial_lr + (final_lr - initial_lr) * (
-                        update / (total_updates - 1)
-                    )
+        for first in range(0, n_steps, block):
+            step_units = [[(di, kept[di][s]) for di in order if len(kept[di]) > s]
+                          for s in range(first, min(first + block, n_steps))]
+            units = [unit for in_step in step_units for unit in in_step]
+            negs = [[draw() for _ in range(negative)] for _ in units]
+            # Draws equal to their unit's token are drawn again, in unit and
+            # slot order, after all the first draws; and again, until none is.
+            redo = [(u, j) for u, (_, w) in enumerate(units) for j in range(negative)
+                    if negs[u][j] == w]
+            while redo:
+                for u, j in redo:
+                    negs[u][j] = draw()
+                redo = [(u, j) for u, j in redo if negs[u][j] == units[u][1]]
+            u = 0
+            for in_step in step_units:
+                if total_steps > 1:
+                    lr = initial_lr + (final_lr - initial_lr) * (step / (total_steps - 1))
                 else:
                     lr = initial_lr
-                if len(vocab) == 1:
-                    idx = np.array([w], dtype=np.int64)
-                    lab = labels[:1]
-                else:
-                    negs = []
-                    while len(negs) < negative:
-                        draw = int(np.searchsorted(
-                            cum, noise_rng.random() * total_mass, side="right"))
-                        if draw != w:
-                            negs.append(draw)
-                    idx = np.array([w] + negs, dtype=np.int64)
-                    lab = labels
-                rows = tokenvecs[idx]
-                v_old = docvecs[di].copy()
-                if objective_out is not None:
-                    epoch_objective += pair_objective(v_old, rows, lab)
-                err = lab - sigmoid(rows @ v_old)
-                np.add.at(tokenvecs, idx, lr * np.outer(err, v_old))
-                docvecs[di] += lr * (err @ rows)
-                update += 1
+                moved_docs = {}
+                token_sums = {}
+                for di, w in in_step:
+                    idx = [w] + negs[u]
+                    u += 1
+                    rows = tokenvecs[idx]
+                    if objective_out is not None:
+                        epoch_objective += pair_objective(docvecs[di], rows, labels)
+                    grad_doc, grad_tokens = pair_gradients(docvecs[di], rows, labels)
+                    moved_docs[di] = docvecs[di] + grad_doc * lr
+                    for token, grad in zip(idx, grad_tokens * lr):
+                        token_sums[token] = token_sums.get(token, np.zeros(dim)) + grad
+                for di, vec in moved_docs.items():
+                    docvecs[di] = vec
+                for token, total in token_sums.items():
+                    tokenvecs[token] += total
+                step += 1
         if objective_out is not None:
             objective_out.append(epoch_objective / max(1, pairs_per_epoch))
     return EmbeddingMatrix(graph_ids=ids, vectors=docvecs)
@@ -291,12 +298,14 @@ REFERENCE_CASES = {
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES)
-def test_matches_one_draw_per_call_reference(case):
+def test_matches_one_draw_per_call_reference(case, monkeypatch):
     documents, min_count, negative, epochs = REFERENCE_CASES[case]
     vocab = build_vocabulary(documents, min_count=min_count)
     if case == "draws refill the buffer":
-        kept = sum(t in vocab.index for d in documents for t in d.tokens)
-        assert kept * epochs * negative > 8192  # more than one block of draws
+        # 20 documents: blocks of 5 steps, several to an epoch.
+        monkeypatch.setattr(embed, "NOISE_BLOCK", 100)
+        longest = max(sum(t in vocab.index for t in d.tokens) for d in documents)
+        assert longest > 3 * 5
     ours = train_embeddings(documents, vocab, dim=8, epochs=epochs, negative=negative,
                             seed=6)
     ref_objective = []
@@ -310,6 +319,52 @@ def test_matches_one_draw_per_call_reference(case):
     quiet = reference_train_embeddings(documents, vocab, dim=8, epochs=epochs,
                                        negative=negative, seed=6)
     assert quiet.vectors.tobytes() == ref.vectors.tobytes()
+
+
+def replay_single_token(documents, dim, epochs, seed):
+    """Lockstep training by hand on a one-token vocabulary (no noise): each
+    step moves its documents and the token from the step's start, the token
+    by the sum of the step's gradients."""
+    lengths = {d.graph_id: len(d.tokens) for d in documents}
+    docvecs = {gid: rng_for(seed, "doc", gid).uniform(-0.5 / dim, 0.5 / dim, dim)
+               for gid in lengths}
+    token = rng_for(seed, "tokens").uniform(-0.5 / dim, 0.5 / dim, (1, dim))
+    n_steps = max(lengths.values())
+    total_steps = epochs * n_steps
+    lr0, lr1 = 0.025, 0.025 / 100.0
+    for step in range(total_steps):
+        lr = lr0 + (lr1 - lr0) * (step / (total_steps - 1))
+        total = np.zeros(dim)
+        moved = {}
+        for gid in sorted(lengths):
+            if lengths[gid] > step % n_steps:
+                grad_doc, grad_token = pair_gradients(docvecs[gid], token, np.ones(1))
+                moved[gid] = docvecs[gid] + grad_doc * lr
+                total = total + grad_token[0] * lr
+        docvecs.update(moved)
+        token = token + total
+    return docvecs
+
+
+def test_shorter_documents_drop_out_of_later_steps():
+    # "b" takes part in step 0 of each epoch only; "a" in all three steps.
+    documents = [doc("b", ["t"]), doc("a", ["t"] * 3)]
+    vocab = build_vocabulary(documents, min_count=4)
+    matrix = train_embeddings(documents, vocab, dim=4, epochs=2, seed=8)
+    expected = replay_single_token(documents, dim=4, epochs=2, seed=8)
+    for gid, row in zip(matrix.graph_ids, matrix.vectors):
+        assert row.tobytes() == expected[gid].tobytes(), gid
+
+
+def test_token_shared_in_a_step_moves_by_the_summed_gradient():
+    # Both documents update token "t" in each step from the same start; the
+    # second step sees the row moved by both gradients of the first.
+    documents = [doc("a", ["t"]), doc("b", ["t"])]
+    vocab = build_vocabulary(documents, min_count=2)
+    matrix = train_embeddings(documents, vocab, dim=4, epochs=2, seed=8)
+    expected = replay_single_token(documents, dim=4, epochs=2, seed=8)
+    for gid, row in zip(matrix.graph_ids, matrix.vectors):
+        assert row.tobytes() == expected[gid].tobytes(), gid
 
 
 def test_duplicate_graph_ids_rejected():

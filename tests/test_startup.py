@@ -1,11 +1,13 @@
 """What a mobgraph process starts with: numpy's OpenBLAS loaded with one
 thread unless the caller chose otherwise, worker processes forked from a
-single-threaded parent, and results that do not depend on the BLAS thread
-count. Every case runs in a fresh interpreter, since OpenBLAS reads its
-thread count only when numpy first loads."""
+single-threaded parent, and results that depend neither on the BLAS thread
+count nor on the BLAS kernel picked for the CPU. Every case runs in a fresh
+interpreter, since OpenBLAS reads its thread count and kernel only when
+numpy first loads."""
 
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -131,3 +133,73 @@ def test_blas_threads_do_not_change_results(script):
     capped = run_python(script)
     threaded = run_python(script, OPENBLAS_NUM_THREADS="4")
     assert capped and capped == threaded
+
+
+KERNEL_BYTES = """
+import hashlib, json, os, pathlib, sys
+import numpy as np
+from mobgraph import ingest, synth, wl
+from mobgraph.cluster import davies_bouldin
+from mobgraph.embed import build_vocabulary, train_embeddings
+from mobgraph.pipeline import PipelineConfig, run_pipeline, strip_timings
+
+points = np.random.default_rng(7).normal(size=(30, 64))
+davies = davies_bouldin(points, np.arange(30) % 3).hex()
+
+records, _ = synth.generate_corpus(synth.SynthConfig(
+    n_channels=6, videos_per_channel=8, organic_commenters=15, seed=3))
+documents = [wl.extract_document(ingest.build_co_commenter_graph(records, synth.channel_id(c)))
+             for c in range(6)]
+vocab = build_vocabulary(documents, min_count=2)
+matrix = train_embeddings(documents, vocab, dim=32, epochs=3, seed=5)
+
+os.chdir(sys.argv[1])  # the report names its input and --out: the same relative paths
+records, _ = synth.generate_corpus(synth.two_family_config(
+    n_channels=12, videos_per_channel=10, organic_commenters=20, seed=0))
+ingest.write_comments_csv(records, "comments.csv")
+report = strip_timings(run_pipeline(PipelineConfig(
+    input="comments.csv", out="run", min_count=2, umap_components=2)))
+assert report["reduce_info"]["init"] == "spectral", report["reduce_info"]
+run = pathlib.Path("run")
+print(json.dumps({
+    "davies_bouldin": davies,
+    "train": matrix.vectors.tobytes().hex(),
+    "report": report,
+    **{str(p.relative_to(run)): hashlib.sha256(p.read_bytes()).hexdigest()
+       for p in sorted(run.rglob("*")) if p.is_file() and p.name != "report.json"},
+}))
+"""
+
+# OPENBLAS_CORETYPE kernels older than any current x86-64 runner's CPU, with
+# the CPU flags each needs: a kernel the CPU cannot run faults.
+KERNEL_FLAGS = {
+    "Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"}, "Nehalem": {"sse4_2"},
+    "Prescott": {"pni"},
+}
+
+
+def _cpu_flags() -> set[str]:
+    with open("/proc/cpuinfo", encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("flags"):
+                return set(line.split(":", 1)[1].split())
+    return set()
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="x86-64 OpenBLAS kernels")
+def test_blas_kernel_does_not_change_results(tmp_path):
+    # numpy's OpenBLAS picks a kernel for the CPU as it loads; the byte
+    # path uses no BLAS call, so every kernel the CPU can run gives the same
+    # embedding, Davies-Bouldin index, artifacts and report, spectral layout
+    # init included.
+    default_dir = tmp_path / "default"
+    default_dir.mkdir()
+    expected = json.loads(run_python(KERNEL_BYTES, str(default_dir)))
+    flags = _cpu_flags()
+    kernels = [name for name, needs in KERNEL_FLAGS.items() if needs <= flags]
+    assert kernels
+    for kernel in kernels:
+        work = tmp_path / kernel
+        work.mkdir()
+        seen = json.loads(run_python(KERNEL_BYTES, str(work), OPENBLAS_CORETYPE=kernel))
+        assert seen == expected, kernel
