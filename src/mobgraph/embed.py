@@ -168,10 +168,11 @@ def train_embeddings(
     Each document vector takes its own gradient; each token row takes the
     sum of its gradients in the step, added once.
 
-    The same seed gives the same bytes on any machine: document vectors are
-    seeded per graph id, steps take documents and noise draws in graph-id
-    order, and no BLAS kernel takes part. Reordering the input therefore
-    only permutes rows.
+    The same seed gives the same bytes under any BLAS kernel: document
+    vectors are seeded per graph id, steps take documents and noise draws
+    in graph-id order, and no BLAS kernel takes part. Reordering the input
+    therefore only permutes rows. (numpy's exp runs SIMD code on CPUs with
+    AVX-512, so bytes can differ between CPUs with and without it.)
     """
     if not documents:
         raise ValueError("documents must be non-empty")

@@ -5,11 +5,15 @@ neighbor graph -> low-dimensional layout by stochastic gradient descent on
 an attraction/repulsion objective shaped by the curve 1/(1 + a x^(2b)), with
 (a, b) the reference fit for min_dist 0.1 and spread 1.0 (DEFAULT_CURVE).
 Brute-force kNN is deliberate: inputs are tens of points, not millions.
+
+The layout runs each epoch in lockstep, as GPU UMAP does (Nolet et al.
+2021): all of an epoch's attractions and negative samples are computed from
+the coordinates at its start, in a few whole-array numpy passes, and summed
+per point in a fixed order.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -18,7 +22,7 @@ import numpy as np
 
 from .cluster import _pairwise
 from .errors import NonFiniteCoordinate, TooFewPoints
-from .seeding import buffered_draws, rng_for
+from .seeding import rng_for
 from .textio import TextTarget, read_id_table, write_id_table
 
 logger = logging.getLogger(__name__)
@@ -204,117 +208,6 @@ def _spectral_init(strengths: np.ndarray, n_components: int, seed: int) -> np.nd
     return embedding
 
 
-# optimize_layout's epoch loop, as source for _layout_step. The lines under
-# "for t in COMPONENTS:" are written out once per component, {t} standing
-# for its index, and {c} and {o} stand for the tuples c0, c1, ... and
-# o0, o1, ... of local floats. The firing point's coordinates stay in locals
-# through its attraction and all of its repulsions and are stored back once
-# per firing; the attracted point's are stored back before the repulsions,
-# which may draw it. Each component does the IEEE operations of a loop over
-# components, in the same order: d2 summed left to right from 0.0 (not with
-# sum(), which compensates rounding from Python 3.12 on), the same two **
-# calls, a clip by comparisons, the draws consumed in the same order.
-_LAYOUT_TEMPLATE = """\
-def layout_epochs(emb, edges, eps_attract, eps_negative, epochs, draw, a, b):
-    next_attract = list(eps_attract)
-    next_negative = list(eps_negative)
-    attract_scale = -2.0 * a * b
-    attract_power = b - 1.0
-    repel_scale = 2.0 * b
-    clip_hi = GRAD_CLIP
-    clip_lo = -GRAD_CLIP
-    isfinite = math.isfinite
-    for epoch in range(epochs):
-        alpha = 1.0 - epoch / epochs
-        for e, (i, j) in enumerate(edges):
-            if next_attract[e] > epoch:
-                continue
-            {c} = emb[i]
-            {o} = emb[j]
-            d2 = 0.0
-            for t in COMPONENTS:
-                q{t} = c{t} - o{t}
-                d2 += q{t} * q{t}
-            if d2 > 0.0:
-                coeff = attract_scale * d2 ** attract_power / (a * d2 ** b + 1.0)
-            else:
-                coeff = 0.0
-            for t in COMPONENTS:
-                g = coeff * q{t}
-                if g > clip_hi:
-                    g = clip_hi
-                elif g < clip_lo:
-                    g = clip_lo
-                step = g * alpha
-                c{t} += step
-                o{t} -= step
-            emb[j] = [{o}]
-            next_attract[e] += eps_attract[e]
-
-            n_neg = int((epoch - next_negative[e]) / eps_negative[e])
-            for _ in range(n_neg):
-                kidx = draw()
-                if kidx == i:
-                    continue
-                {o} = emb[kidx]
-                d2 = 0.0
-                for t in COMPONENTS:
-                    q{t} = c{t} - o{t}
-                    d2 += q{t} * q{t}
-                if d2 > 0.0:
-                    coeff = repel_scale / ((0.001 + d2) * (a * d2 ** b + 1.0))
-                    for t in COMPONENTS:
-                        g = coeff * q{t}
-                        if g > clip_hi:
-                            g = clip_hi
-                        elif g < clip_lo:
-                            g = clip_lo
-                        c{t} += g * alpha
-                else:
-                    for t in COMPONENTS:
-                        c{t} += clip_hi * alpha
-            next_negative[e] += n_neg * eps_negative[e]
-            emb[i] = [{c}]
-        for {c} in emb:
-            for t in COMPONENTS:
-                if not isfinite(c{t}):
-                    raise NonFiniteCoordinate(f"epoch {epoch}")
-"""
-
-
-@functools.cache
-def _layout_step(n_components: int):
-    """layout_epochs of _LAYOUT_TEMPLATE for n_components, compiled on first
-    use (as dataclasses builds __init__) and cached: it updates the list of
-    coordinate rows `emb` in place."""
-    lines = _LAYOUT_TEMPLATE.splitlines()
-    names = {key: "".join(f"{key}{t}, " for t in range(n_components))
-             for key in ("c", "o")}  # the trailing comma makes a 1-tuple
-    source: list[str] = []
-    k = 0
-    while k < len(lines):
-        line = lines[k]
-        k += 1
-        if line.strip() != "for t in COMPONENTS:":
-            source.append(line.replace("{c}", names["c"]).replace("{o}", names["o"]))
-            continue
-        depth = len(line) - len(line.lstrip())
-        body = []
-        while k < len(lines) and len(lines[k]) - len(lines[k].lstrip()) > depth:
-            body.append(lines[k][4:])
-            k += 1
-        for t in range(n_components):
-            source.extend(row.replace("{t}", str(t)) for row in body)
-    namespace = {
-        "GRAD_CLIP": GRAD_CLIP, "NonFiniteCoordinate": NonFiniteCoordinate,
-        "math": math,
-    }
-    code = compile("\n".join(source), f"<layout step, {n_components} components>",
-                   "exec")
-    exec(code, namespace)
-    return namespace["layout_epochs"]
-
-
 def optimize_layout(
     fuzzy: FuzzyGraph,
     n_components: int = 4,
@@ -333,6 +226,11 @@ def optimize_layout(
     each one triggers negative_rate repulsive samples; the step size decays
     linearly 1 -> 0; per-component gradients clip to [-4, 4]. Corpora with
     n <= n_components + 1 skip optimization and return the init.
+
+    Epochs run in lockstep: every move of an epoch is computed from the
+    coordinates at its start, and each point takes the sum of its moves
+    once, after the epoch. Negative samples are one draw per slot, in
+    (epoch, edge, slot) order.
     """
     if a <= 0 or b <= 0:
         raise ValueError(f"curve parameters must be positive, got a={a}, b={b}")
@@ -340,6 +238,8 @@ def optimize_layout(
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if n_components < 1:
         raise ValueError(f"n_components must be >= 1, got {n_components}")
+    if negative_rate < 1:
+        raise ValueError(f"negative_rate must be >= 1, got {negative_rate}")
     strengths = fuzzy.strengths
     n = strengths.shape[0]
     if n == 0:
@@ -363,17 +263,57 @@ def optimize_layout(
     mu = strengths.copy()
     mu[mu < mx / epochs] = 0.0
     heads, tails = np.nonzero(mu)
-    weights = mu[heads, tails]
-    eps_attract = (mx / weights).tolist()  # epochs between samples of each edge
-    eps_negative = (mx / weights / negative_rate).tolist()
-    edges = list(zip(heads.tolist(), tails.tolist()))
-    emb = init.tolist()
+    eps_attract = mx / mu[heads, tails]  # epochs between samples of each edge
+    eps_negative = eps_attract / negative_rate
+    next_attract = eps_attract.copy()
+    next_negative = eps_negative.copy()
+    attract_scale = -2.0 * a * b
+    repel_scale = 2.0 * b
+    lanes = np.arange(n_components)
+    emb = init.copy()
     rng = rng_for(seed, "layout")
-    draws = buffered_draws(lambda k: rng.integers(0, n, k).tolist())
-    _layout_step(n_components)(
-        emb, edges, eps_attract, eps_negative, epochs, draws.__next__, a, b
-    )
-    return np.array(emb, dtype=np.float64), done
+    for epoch in range(epochs):
+        alpha = 1.0 - epoch / epochs
+        due = np.flatnonzero(next_attract <= epoch)
+        next_attract[due] += eps_attract[due]
+        n_neg = ((epoch - next_negative[due]) / eps_negative[due]).astype(np.intp)
+        next_negative[due] += n_neg * eps_negative[due]
+        # Rows: each due edge's attraction (head i, tail j), then its
+        # negative samples (i, drawn point); a draw equal to i is skipped.
+        m = due.size
+        owners = np.repeat(heads[due], n_neg)
+        drawn = rng.integers(0, n, owners.size)
+        kept = drawn != owners
+        first = np.concatenate((heads[due], owners[kept]))
+        second = np.concatenate((tails[due], drawn[kept]))
+        diff = emb[first] - emb[second]
+        d2 = diff[:, 0] * diff[:, 0]
+        for t in range(1, n_components):
+            d2 += diff[:, t] * diff[:, t]
+        apart = d2 > 0.0
+        safe = np.where(apart, d2, 1.0)  # no 0.0 ** (b - 1) to evaluate
+        curve = a * safe ** b + 1.0
+        coeff = np.empty_like(d2)
+        coeff[:m] = attract_scale * safe[:m] ** (b - 1.0) / curve[:m]
+        coeff[m:] = repel_scale / ((0.001 + safe[m:]) * curve[m:])
+        grad = np.clip(coeff[:, None] * diff, -GRAD_CLIP, GRAD_CLIP)
+        # Coincident points: attraction does nothing, repulsion pushes by
+        # the clip bound in every component.
+        grad[:m][~apart[:m]] = 0.0
+        grad[m:][~apart[m:]] = GRAD_CLIP
+        grad *= alpha
+        # Each point's moves summed from 0.0: as a head, as a tail, as the
+        # owner of negative samples, each in row order.
+        points = np.concatenate((first[:m], second[:m], first[m:]))
+        moves = np.concatenate((grad[:m], -grad[:m], grad[m:]))
+        emb += np.bincount(
+            (points[:, None] * n_components + lanes).reshape(-1),
+            weights=moves.reshape(-1),
+            minlength=n * n_components,
+        ).reshape(n, n_components)
+        if not np.isfinite(emb).all():
+            raise NonFiniteCoordinate(f"epoch {epoch}")
+    return emb, done
 
 
 def reduce_embeddings(

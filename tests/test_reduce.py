@@ -1,15 +1,13 @@
 import io
 import itertools
 import math
-import subprocess
-import sys
+import warnings
 
 import numpy as np
 import pytest
-from conftest import fresh_env
 
 from mobgraph import reduce as reduce_mod
-from mobgraph.errors import TooFewPoints
+from mobgraph.errors import NonFiniteCoordinate, TooFewPoints
 from mobgraph.reduce import (
     MIN_SIGMA_SCALE,
     SMOOTH_TOLERANCE,
@@ -384,28 +382,27 @@ def test_layout_rejects_bad_parameters():
         optimize_layout(fuzzy, a=0.0)
     with pytest.raises(ValueError):
         optimize_layout(fuzzy, epochs=0)
+    with pytest.raises(ValueError, match="negative_rate"):
+        optimize_layout(fuzzy, negative_rate=0)
     with pytest.raises(ValueError):
         optimize_layout(FuzzyGraph(np.zeros((0, 0))))
 
 
+def curve_power(x, y):
+    """x ** y as the layout takes it, an array's ** a float: on a CPU with
+    AVX-512, numpy computes it with SIMD code whose last bit can differ
+    from Python's ** (and from numpy's scalar power)."""
+    return float((np.array([x]) ** y)[0])
+
+
 def reference_optimize_layout(fuzzy, n_components, a, b, epochs, negative_rate, seed):
-    """The layout loop the list-based one replaced, step for step: numpy
-    schedules, a clip function, an integer draw object refilled 8192 at a
-    time. Initialization goes through the module's own functions, so a
-    test that patches them patches both."""
-
-    class IntStream:
-        def __init__(self, rng, n, block=8192):
-            self._rng, self._n, self._block = rng, n, block
-            self._buf, self._pos = [], 0
-
-        def next(self):
-            if self._pos >= len(self._buf):
-                self._buf = self._rng.integers(0, self._n, self._block).tolist()
-                self._pos = 0
-            value = self._buf[self._pos]
-            self._pos += 1
-            return value
+    """The lockstep layout as plain loops over epochs, due edges and
+    negative slots: one rng.integers draw per slot, every move from the
+    coordinates at the epoch's start, and each point's moves summed from
+    0.0 (as a head, as a tail, then as the owner of negative samples, each
+    in edge and slot order) and added after the epoch. Initialization goes
+    through the module's own functions, so a test that patches them
+    patches both."""
 
     def clip(x):
         if x > 4.0:
@@ -413,6 +410,13 @@ def reference_optimize_layout(fuzzy, n_components, a, b, epochs, negative_rate, 
         if x < -4.0:
             return -4.0
         return x
+
+    def squared_distance(p, q):
+        d2 = 0.0
+        for t in range(n_components):
+            diff = p[t] - q[t]
+            d2 += diff * diff
+        return d2
 
     strengths = fuzzy.strengths
     n = strengths.shape[0]
@@ -429,45 +433,47 @@ def reference_optimize_layout(fuzzy, n_components, a, b, epochs, negative_rate, 
     eps_negative = eps_attract / negative_rate
     next_negative = eps_negative.copy()
     emb = [[float(x) for x in row] for row in init]
-    draws = IntStream(rng_for(seed, "layout"), n)
+    rng = rng_for(seed, "layout")
     for epoch in range(epochs):
         alpha = 1.0 - epoch / epochs
+        as_head, as_tail, as_owner = [], [], []  # (point, move) pairs
         for e in range(heads.shape[0]):
             if next_attract[e] > epoch:
                 continue
             i, j = int(heads[e]), int(tails[e])
             cur, oth = emb[i], emb[j]
-            d2 = 0.0
-            for t in range(n_components):
-                diff = cur[t] - oth[t]
-                d2 += diff * diff
+            d2 = squared_distance(cur, oth)
             if d2 > 0.0:
-                coeff = (-2.0 * a * b * d2 ** (b - 1.0)) / (a * d2 ** b + 1.0)
+                coeff = (-2.0 * a * b * curve_power(d2, b - 1.0)) / (
+                    a * curve_power(d2, b) + 1.0)
             else:
                 coeff = 0.0
-            for t in range(n_components):
-                g = clip(coeff * (cur[t] - oth[t]))
-                cur[t] += g * alpha
-                oth[t] -= g * alpha
+            move = [clip(coeff * (cur[t] - oth[t])) * alpha for t in range(n_components)]
+            as_head.append((i, move))
+            as_tail.append((j, [-x for x in move]))
             next_attract[e] += eps_attract[e]
             n_neg = int((epoch - next_negative[e]) / eps_negative[e])
             for _ in range(n_neg):
-                kidx = draws.next()
+                kidx = int(rng.integers(0, n))
                 if kidx == i:
                     continue
                 oth = emb[kidx]
-                d2 = 0.0
-                for t in range(n_components):
-                    diff = cur[t] - oth[t]
-                    d2 += diff * diff
+                d2 = squared_distance(cur, oth)
                 if d2 > 0.0:
-                    coeff = (2.0 * b) / ((0.001 + d2) * (a * d2 ** b + 1.0))
-                    for t in range(n_components):
-                        cur[t] += clip(coeff * (cur[t] - oth[t])) * alpha
+                    coeff = (2.0 * b) / ((0.001 + d2) * (a * curve_power(d2, b) + 1.0))
+                    move = [clip(coeff * (cur[t] - oth[t])) * alpha
+                            for t in range(n_components)]
                 else:
-                    for t in range(n_components):
-                        cur[t] += 4.0 * alpha
+                    move = [4.0 * alpha] * n_components
+                as_owner.append((i, move))
             next_negative[e] += n_neg * eps_negative[e]
+        sums = [[0.0] * n_components for _ in range(n)]
+        for point, move in as_head + as_tail + as_owner:
+            for t in range(n_components):
+                sums[point][t] += move[t]
+        for point in range(n):
+            for t in range(n_components):
+                emb[point][t] += sums[point][t]
     return np.array(emb, dtype=np.float64)
 
 
@@ -498,12 +504,12 @@ def test_layout_matches_reference(init, n_components, negative_rate):
     assert_matches_reference(fuzzy, n_components, negative_rate)
 
 
-def test_layout_matches_reference_past_one_block_of_draws():
+def test_layout_matches_reference_on_a_longer_run():
     fuzzy = fuzzy_for(np.random.default_rng(45).normal(0.0, 1.0, (30, 8)))
     # An edge fires strength/max times an epoch and draws negative_rate
-    # noise points each time.
+    # noise points each time: tens of thousands of draws over the run.
     strengths = fuzzy.strengths
-    assert (strengths / strengths.max()).sum() * 100 * 5 > 3 * 8192
+    assert (strengths / strengths.max()).sum() * 100 * 5 > 20_000
     assert_matches_reference(fuzzy, 4, 5, epochs=100)
 
 
@@ -520,29 +526,50 @@ def test_layout_matches_reference_on_coincident_points(monkeypatch):
         assert_matches_reference(fuzzy, n_components, 5)
 
 
-def test_layout_step_is_built_on_first_use_and_reused():
-    """Importing the module compiles no step; the first layout for a number
-    of components compiles one, and the next layout reuses it."""
-    script = """
-import numpy as np
-from mobgraph import reduce
-from mobgraph.reduce import FuzzyGraph, optimize_layout
+def test_layout_of_coincident_points_raises_no_warning(monkeypatch):
+    """The d2 == 0 rows never evaluate 0.0 ** (b - 1), which divides by
+    zero, not even in a branch whose value is thrown away."""
+    monkeypatch.setattr(reduce_mod, "_random_init", lambda n, n_components, seed:
+                        np.zeros((n, n_components)))
+    fuzzy = fuzzy_for(two_blobs(np.random.default_rng(46), separation=100.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coords, _ = optimize_layout(fuzzy, n_components=2, epochs=20, seed=0)
+    assert np.isfinite(coords).all()
 
-assert reduce._layout_step.cache_info().currsize == 0
-strengths = np.random.default_rng(0).random((12, 12))
-strengths = (strengths + strengths.T) / 2
-np.fill_diagonal(strengths, 0.0)
-first, _ = optimize_layout(FuzzyGraph(strengths), n_components=3, epochs=5)
-step = reduce._layout_step(3)
-second, _ = optimize_layout(FuzzyGraph(strengths), n_components=3, epochs=5)
-info = reduce._layout_step.cache_info()
-assert (info.misses, info.currsize) == (1, 1), info
-assert reduce._layout_step(3) is step
-assert first.tobytes() == second.tobytes()
-"""
-    done = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+
+def test_layout_sums_the_moves_of_edges_sharing_a_point():
+    """In epoch 1 of 2 every edge of full strength fires once and, at
+    negative_rate 1, draws no noise. Point 0 is in both edges 0-1 and 0-2,
+    so it moves by the sum of what each edge alone moves it by; points 1
+    and 2 each move as with their edge alone."""
+    def layout(pairs):
+        strengths = np.zeros((3, 3))
+        for i, j in pairs:
+            strengths[i, j] = strengths[j, i] = 1.0
+        coords, _ = optimize_layout(FuzzyGraph(strengths), n_components=1, epochs=2,
+                                    negative_rate=1, seed=4)
+        return coords
+
+    init = reduce_mod._random_init(3, 1, 4)
+    both, first, second = layout([(0, 1), (0, 2)]), layout([(0, 1)]), layout([(0, 2)])
+    assert first[0, 0] != init[0, 0] and second[0, 0] != init[0, 0]
+    assert both[0, 0] - init[0, 0] == pytest.approx(
+        (first[0, 0] - init[0, 0]) + (second[0, 0] - init[0, 0]), rel=1e-12)
+    assert both[1, 0] == first[1, 0]
+    assert both[2, 0] == second[2, 0]
+
+
+def test_layout_stops_on_a_non_finite_coordinate(monkeypatch):
+    def broken_init(n, n_components, seed):
+        init = np.ones((n, n_components))
+        init[2, 0] = np.inf
+        return init
+
+    monkeypatch.setattr(reduce_mod, "_random_init", broken_init)
+    fuzzy = fuzzy_for(two_blobs(np.random.default_rng(46), separation=100.0))
+    with pytest.raises(NonFiniteCoordinate, match="epoch 0"):
+        optimize_layout(fuzzy, n_components=2, epochs=20, seed=0)
 
 
 def test_layout_rejects_no_components():
