@@ -9,13 +9,11 @@ def _import_numpy_with_one_blas_thread() -> None:
     already loaded or the caller chose a thread count.
 
     OpenBLAS starts one worker thread per extra CPU when the library loads,
-    and each busy-waits for work. mobgraph has next to none for them: its
-    largest BLAS calls are gemv products, which OpenBLAS runs on one thread
-    below 9,216 elements, and their results do not depend on the thread
-    count.
+    and each busy-waits for work. No pipeline call goes through BLAS, so the
+    cap stays only to keep those threads from starting.
     OpenBLAS reads the variable only while it loads, so it is removed again
     and no program started later inherits the cap. Forked workers inherit
-    the loaded single-thread library."""
+    the loaded single-thread library; spawned ones load it the same way."""
     import os
     import sys
 

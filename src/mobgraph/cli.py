@@ -150,10 +150,10 @@ def _config(args: argparse.Namespace) -> PipelineConfig:
 def cmd_ingest(args: argparse.Namespace) -> int:
     state = RunState(_config(args))
     pipeline.read_comments(state, on_duplicate="error" if args.strict else "warn")
-    total = sum(map(len, state.records.values()))
+    total = sum(table.comments for table in state.tables.values())
     print(f"parsed {total} records across {len(state.channels)} channels")
     for c in state.channels:
-        print(f"  {c}: {len(state.records[c])} comments")
+        print(f"  {c}: {state.tables[c].comments} comments")
     return 0
 
 

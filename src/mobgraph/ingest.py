@@ -48,7 +48,8 @@ def parse_comments(
     """Parse comment records from a CSV or JSON-lines stream, in input order.
 
     on_duplicate: "warn" keeps the first record with a given comment_id and
-    logs the rest; "error" raises DuplicateCommentId.
+    drops the rest, logging one warning for them all; "error" raises
+    DuplicateCommentId.
     """
     if format not in ("csv", "json-lines"):
         raise ValueError(f"unknown format {format!r}; use 'csv' or 'json-lines'")
@@ -56,6 +57,8 @@ def parse_comments(
         raise ValueError(f"on_duplicate must be 'warn' or 'error', got {on_duplicate!r}")
     records: list[CommentRecord] = []
     seen: set[str] = set()
+    dropped = 0
+    first_dropped: tuple[str, int] | None = None  # (comment_id, line)
     # One string per distinct id, shared by every record that holds it. A
     # channel or commenter id is checked when it is first seen.
     channels: dict[str, str] = {}
@@ -77,14 +80,16 @@ def parse_comments(
             if comment_id in seen:
                 if on_duplicate == "error":
                     raise DuplicateCommentId(comment_id, line)
-                logger.warning(
-                    "dropping duplicate comment_id %r at line %d", comment_id, line
-                )
+                dropped += 1
+                first_dropped = first_dropped or (comment_id, line)
                 continue
             seen.add(comment_id)
             records.append(CommentRecord(
                 channels[channel], videos.setdefault(video, video), commenters[commenter],
                 comment_id))
+    if dropped:
+        logger.warning("dropped %d record(s) with a duplicate comment_id, the first %r "
+                       "at line %d", dropped, *first_dropped)
     return records
 
 
@@ -170,12 +175,45 @@ def channels_in(records: Iterable[CommentRecord]) -> list[str]:
     return sorted({r.channel_id for r in records})
 
 
+@dataclass(frozen=True, slots=True)
+class ChannelTable:
+    """One channel's comments, reduced to what its graph is built from. A
+    commenter's code is its index in commenters; a (video, commenter) pair
+    is the int64 key video * len(commenters) + commenter, video-major, so
+    the sorted keys hold each video's commenters as one ascending run."""
+
+    commenters: list[str]  # distinct ids, sorted
+    pairs: np.ndarray  # the distinct pair keys, sorted
+    comments: int  # the channel's records, repeats of a pair included
+
+
+def channel_tables(records: Iterable[CommentRecord]) -> dict[str, ChannelTable]:
+    """Each channel's ChannelTable, keyed by channel id in sorted order. A
+    video's code is its rank in the order the channel's records first name it."""
+    grouped: dict[str, list[CommentRecord]] = {}
+    for r in records:
+        grouped.setdefault(r.channel_id, []).append(r)
+    tables = {}
+    for channel in sorted(grouped):
+        selected = grouped.pop(channel)
+        commenters = sorted({r.commenter_id for r in selected})
+        n = len(commenters)
+        code = dict(zip(commenters, range(n)))
+        videos: dict[str, int] = {}
+        pairs = {videos.setdefault(r.video_id, len(videos)) * n + code[r.commenter_id]
+                 for r in selected}
+        tables[channel] = ChannelTable(
+            commenters, np.sort(np.fromiter(pairs, np.int64, len(pairs))), len(selected))
+    return tables
+
+
 def build_co_commenter_graph(
-    records: Iterable[CommentRecord],
+    records: Iterable[CommentRecord] | ChannelTable,
     channel: str,
     min_shared_videos: int = 1,
 ) -> Graph:
-    """Build the weighted co-commenter graph for one channel.
+    """Build the weighted co-commenter graph for one channel, from comment
+    records of any channels or from the channel's ChannelTable.
 
     Multiple comments by one commenter on one video count once. Edges below
     min_shared_videos are dropped, and a commenter left without a retained
@@ -183,20 +221,13 @@ def build_co_commenter_graph(
     """
     if min_shared_videos < 1:
         raise ValueError(f"min_shared_videos must be >= 1, got {min_shared_videos}")
-    selected = [r for r in records if r.channel_id == channel]
-    if not selected:
+    table = records if isinstance(records, ChannelTable) else channel_tables(
+        r for r in records if r.channel_id == channel).get(channel)
+    if table is None:
         raise EmptyChannel(channel)
-
-    # Each commenter's code is its rank in sorted id order. A (video,
-    # commenter) pair is one int64 key, video-major, so the sorted distinct
-    # keys hold each video's commenters as one ascending run.
-    commenters = sorted({r.commenter_id for r in selected})
+    commenters = table.commenters
     n = len(commenters)
-    code = dict(zip(commenters, range(n)))
-    videos: dict[str, int] = {}
-    pairs = {videos.setdefault(r.video_id, len(videos)) * n + code[r.commenter_id]
-             for r in selected}
-    video, commenter = np.divmod(np.sort(np.fromiter(pairs, np.int64, len(pairs))), n)
+    video, commenter = np.divmod(table.pairs, n)
     _, firsts, sizes = np.unique(video, return_index=True, return_counts=True)
 
     # Every co-commenting pair u < v of every video, one group size at a time.

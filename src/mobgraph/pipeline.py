@@ -145,20 +145,14 @@ class _WarningCollector(logging.Handler):
         self.messages.append(record.getMessage())
 
 
-# The RunState of a worker process. Its pool's initializer sets it to the
-# parent's, inherited at fork with the records, so a task pickles nothing but
-# a module-level function's name, a channel id and small keyword arguments.
-_worker_state: RunState | None = None
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
-def _start_worker(state: RunState, parent: int) -> None:
-    global _worker_state
-    _worker_state = state
+def _start_worker(parent: int) -> None:
     if sys.platform == "linux":
         # Die with the parent, even one killed outright: a worker holds the
         # pool's call queue open itself, so it would never see end-of-file.
-        # The signal follows the forking thread, the parent's main thread.
+        # The signal follows the starting thread, the parent's main thread.
         import ctypes
 
         prctl = ctypes.CDLL(None, use_errno=True).prctl
@@ -173,23 +167,18 @@ def _start_worker(state: RunState, parent: int) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # The census runs behind the parent's embed, reduce and cluster, and
-    # should take only the CPU time those leave idle.
-    os.nice(10)
+    # should take only the CPU time those leave idle. Windows has no nice.
+    if hasattr(os, "nice"):
+        os.nice(10)
 
 
-def _run_channel(state: RunState, fn: Callable, channel: str, kwargs: dict) -> object:
+def _run_channel(fn: Callable, channel: str, table: ingest_mod.ChannelTable,
+                 min_shared_videos: int, kwargs: dict) -> object:
     """fn(graph, **kwargs) on the graph of one channel, built here from its
-    records; the graph is dropped once fn returns."""
-    config = state.config
+    table; the graph is dropped once fn returns."""
     graph = ingest_mod.build_co_commenter_graph(
-        state.records[channel], channel,
-        min_shared_videos=config.min_shared_videos,
-    )
+        table, channel, min_shared_videos=min_shared_videos)
     return fn(graph, **kwargs)
-
-
-def _run_task(fn: Callable, channel: str, kwargs: dict) -> object:
-    return _run_channel(_worker_state, fn, channel, kwargs)
 
 
 def _usable_cpus() -> int:
@@ -200,15 +189,17 @@ def _usable_cpus() -> int:
 
 def _map_channels(state: RunState, fn: Callable, **kwargs) -> Callable[[], list]:
     """Start fn(graph, **kwargs) on every channel; return a call that waits
-    for the results and returns them in channel order. Each task builds its
-    channel's graph. fn is a module-level function, sent to the run's
-    workers by name (see RunState.workers). Without workers the tasks run
-    here, when the returned call is made. Either way the call raises the
-    error of the first failing channel, as a serial run does."""
+    for the results and returns them in channel order. Each task carries its
+    channel's table. fn is a module-level function, sent to the run's
+    workers by name. Without workers the tasks run here, when the returned
+    call is made. Either way the call raises the error of the first failing
+    channel, as a serial run does."""
+    tasks = [(fn, channel, state.tables[channel], state.config.min_shared_videos, kwargs)
+             for channel in state.channels]
     pool = state.workers()
     if pool is None:
-        return lambda: [_run_channel(state, fn, c, kwargs) for c in state.channels]
-    pending = [pool.submit(_run_task, fn, c, kwargs) for c in state.channels]
+        return lambda: [_run_channel(*task) for task in tasks]
+    pending = [pool.submit(_run_channel, *task) for task in tasks]
     return lambda: [future.result() for future in pending]
 
 
@@ -230,8 +221,7 @@ class RunState:
 
     config: PipelineConfig
     gexf_dir: Path | None = None  # None: config.out
-    # The records of each channel, in input order.
-    records: dict[str, list[ingest_mod.CommentRecord]] = field(default_factory=dict)
+    tables: dict[str, ingest_mod.ChannelTable] = field(default_factory=dict)  # by channel
     channels: list[str] = field(default_factory=list)
     graph_stats: dict[str, dict[str, int]] = field(default_factory=dict)  # by graph name
     documents: list[wl_mod.GraphDocument] = field(default_factory=list)
@@ -259,27 +249,26 @@ class RunState:
 
     def workers(self) -> ProcessPoolExecutor | None:
         """The run's one pool of worker processes, or None when its channels
-        run serially in this process: threads 1, one channel, one usable CPU,
-        or no fork. The first call with threads > 1 forks up to that many
-        workers, which inherit the records."""
+        run serially in this process: threads 1, one channel, or one usable
+        CPU. The first call with threads > 1 starts up to that many workers,
+        forked where the platform can fork and spawned where it cannot."""
         if self.pool is None:
             workers = min(self.config.threads, len(self.channels), _usable_cpus())
             if workers > 1:
                 import multiprocessing
+                from concurrent.futures.process import ProcessPoolExecutor
 
-                if "fork" in multiprocessing.get_all_start_methods():
-                    from concurrent.futures.process import ProcessPoolExecutor
-
-                    # fork, not spawn: a spawned worker would need the records
-                    # pickled to it. Unless the caller started threads of its
-                    # own, the workers fork from a single-threaded process:
-                    # numpy's BLAS is loaded with one thread (see
-                    # mobgraph/__init__.py), and the pool starts its manager
-                    # thread only after every worker has forked.
-                    self.pool = ProcessPoolExecutor(
-                        workers, mp_context=multiprocessing.get_context("fork"),
-                        initializer=_start_worker, initargs=(self, os.getpid()),
-                    )
+                # Forked workers skip the imports spawned ones pay for, and
+                # fork from a single-threaded process unless the caller started
+                # threads: numpy's BLAS is loaded with one thread (see
+                # mobgraph/__init__.py), and the pool starts its manager thread
+                # only after every worker has forked. Never forkserver: its
+                # workers' parent is the server, so _start_worker ends them.
+                fork = "fork" in multiprocessing.get_all_start_methods()
+                self.pool = ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork" if fork else "spawn"),
+                    initializer=_start_worker, initargs=(os.getpid(),),
+                )
         return self.pool
 
     def close(self, kill: bool = False) -> None:
@@ -296,6 +285,11 @@ class RunState:
         # larger result (a WL document) leaves the pool reading the rest for
         # ever. The other tasks take seconds, and are waited for.
         if kill and self.pending_censuses is not None:
+            # A queued census task, with its channel's table, can be more
+            # than a pipe holds. With this process's end of the pipe closed
+            # first, the write that carries it fails once the workers are
+            # dead; Python 3.10 would leave shutdown waiting on it for ever.
+            self.pool._call_queue._reader.close()
             processes = list((self.pool._processes or {}).values())
             for process in processes:
                 process.kill()
@@ -326,10 +320,8 @@ def read_comments(state: RunState, on_duplicate: str = "warn") -> None:
     records = ingest_mod.parse_comments(
         check_input(config.input), format=config.format, on_duplicate=on_duplicate
     )
-    state.records = {}
-    for record in records:
-        state.records.setdefault(record.channel_id, []).append(record)
-    state.channels = ingest_mod.channels_in(records)
+    state.tables = ingest_mod.channel_tables(records)
+    state.channels = list(state.tables)
 
 
 def check_corpus_size(state: RunState) -> None:

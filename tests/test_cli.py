@@ -3,6 +3,7 @@ import csv
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -18,7 +19,7 @@ from mobgraph import gexf as gexf_mod
 from mobgraph import pipeline as pipeline_mod
 from mobgraph.cli import STEPS, _config, build_parser, main
 from mobgraph.errors import InvalidConfig, PipelineStageError
-from mobgraph.ingest import CommentRecord
+from mobgraph.ingest import CommentRecord, channel_tables, write_comments_csv
 from mobgraph.pipeline import (
     CONFIG_FIELDS,
     PipelineConfig,
@@ -123,8 +124,10 @@ def test_pipeline_threads_do_not_change_artifacts(corpus_dir, pipeline_out, tmp_
         return report
 
     expected = compared(json.loads((pipeline_out / "report.json").read_text()))
-    for threads in (1, 2, 3):
-        out = tmp_path / f"threads{threads}"
+    for threads, spawn in ((1, False), (2, False), (3, False), (2, True)):
+        if spawn:  # as on a platform that cannot fork
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        out = tmp_path / f"threads{threads}{'-spawn' * spawn}"
         code = main([
             "pipeline", "--input", str(corpus_dir / "comments.csv"),
             "--out", str(out), "--seed", "0", "--threads", str(threads),
@@ -132,10 +135,10 @@ def test_pipeline_threads_do_not_change_artifacts(corpus_dir, pipeline_out, tmp_
         assert code == 0
         assert sorted(p.name for p in (out / "graphs").glob("*.gexf")) == gexf
         for name in tracked:
-            assert read_bytes(out / name) == read_bytes(pipeline_out / name), (threads, name)
+            assert read_bytes(out / name) == read_bytes(pipeline_out / name), (out, name)
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["threads"] == threads
-        assert compared(report) == expected, threads
+        assert compared(report) == expected, out
 
 
 @pytest.fixture(scope="module")
@@ -212,9 +215,8 @@ def test_budget_failure_is_the_same_with_worker_processes(corpus_dir, tmp_path, 
 def channel_state(channels, threads):
     """A RunState over one comment per channel, so that each channel's task
     gets an edgeless graph named after it."""
-    records = {c: [CommentRecord(c, "v", "u", f"{c}-1")] for c in channels}
-    return RunState(PipelineConfig(threads=threads), channels=list(channels),
-                    records={None: [r for rs in records.values() for r in rs], **records})
+    tables = channel_tables(CommentRecord(c, "v", "u", f"{c}-1") for c in channels)
+    return RunState(PipelineConfig(threads=threads), tables=tables, channels=list(tables))
 
 
 # Channel tasks: module-level, as the workers get them by name.
@@ -252,29 +254,45 @@ def test_map_channels_workers_capped_by_cpus(monkeypatch, cpus, forked):
     assert (os.getpid() not in pids) == forked
 
 
-def test_map_channels_runs_serially_without_fork(monkeypatch):
+def test_map_channels_spawns_workers_without_fork(monkeypatch):
+    monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     with channel_state("abc", 2) as state:
         pids = _map_channels(state, process_id)()
-        assert state.pool is None
-    assert set(pids) == {os.getpid()}
+        names = _map_channels(state, upper_name)()
+        assert state.pool._mp_context.get_start_method() == "spawn"
+    assert len(pids) == 3 and os.getpid() not in pids
+    with channel_state("abc", 1) as state:
+        assert _map_channels(state, upper_name)() == names == ["A", "B", "C"]
+
+
+def test_worker_start_needs_no_posix_only_call(monkeypatch):
+    # What a spawned worker runs first where the platform has no fork, such
+    # as Windows: no prctl and no nice there.
+    handlers = {}
+    monkeypatch.setattr(sys, "platform", "win32")
+    monkeypatch.delattr(os, "nice")
+    monkeypatch.setattr(signal, "signal", lambda signum, handler: handlers.update(
+        {signum: handler}))
+    pipeline_mod._start_worker(os.getppid())
+    assert handlers == {signal.SIGINT: signal.SIG_IGN, signal.SIGTERM: signal.SIG_DFL}
 
 
 TASK_LOG = "MOBGRAPH_TEST_TASK_LOG"  # set by the test; forked workers inherit it
-run_task = pipeline_mod._run_task
+run_channel = pipeline_mod._run_channel
 
 
-def logged_task(fn, channel, kwargs):
+def logged_task(fn, *args):
     with open(os.environ[TASK_LOG], "a", encoding="utf-8") as log:
         log.write(f"{fn.__name__} {os.getpid()}\n")
-    return run_task(fn, channel, kwargs)
+    return run_channel(fn, *args)
 
 
 def test_one_worker_pool_per_run(corpus_dir, pipeline_out, tmp_path, monkeypatch):
     log = tmp_path / "tasks.log"
     monkeypatch.setenv(TASK_LOG, str(log))
     monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(pipeline_mod, "_run_task", logged_task)
+    monkeypatch.setattr(pipeline_mod, "_run_channel", logged_task)
     out = tmp_path / "run"
     assert main(["pipeline", "--input", str(corpus_dir / "comments.csv"),
                  "--out", str(out), "--seed", "0", "--threads", "2"]) == 0
@@ -440,12 +458,12 @@ def test_failed_run_leaves_only_the_marker(corpus_dir, tmp_path, capsys, monkeyp
     assert multiprocessing.active_children() == []
 
 
-def slow_census_task(fn, channel, kwargs):
+def slow_census_task(fn, *args):
     if fn.__name__ == "clique_census":
         with open(os.environ[TASK_LOG], "a", encoding="utf-8") as log:
             log.write(f"{os.getpid()}\n")
         time.sleep(30)
-    return run_task(fn, channel, kwargs)
+    return run_channel(fn, *args)
 
 
 def test_failed_run_does_not_wait_for_running_census_tasks(corpus_dir, tmp_path, capsys,
@@ -453,7 +471,7 @@ def test_failed_run_does_not_wait_for_running_census_tasks(corpus_dir, tmp_path,
     log = tmp_path / "census.log"
     monkeypatch.setenv(TASK_LOG, str(log))
     monkeypatch.setattr(pipeline_mod, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(pipeline_mod, "_run_task", slow_census_task)
+    monkeypatch.setattr(pipeline_mod, "_run_channel", slow_census_task)
     build_vocabulary = embed_mod.build_vocabulary
 
     def once_both_workers_count(*args, **kwargs):
@@ -481,16 +499,16 @@ import os, sys, time
 from mobgraph import pipeline
 from mobgraph.cli import main
 
-run_task = pipeline._run_task
+run_channel = pipeline._run_channel
 
-def logged_census_task(fn, channel, kwargs):
+def logged_census_task(fn, *args):
     if fn.__name__ == "clique_census":
         with open(sys.argv[1], "a", encoding="utf-8") as log:
             log.write(f"{os.getpid()}\\n")
         time.sleep(60)
-    return run_task(fn, channel, kwargs)
+    return run_channel(fn, *args)
 
-pipeline._run_task = logged_census_task
+pipeline._run_channel = logged_census_task
 pipeline._usable_cpus = lambda: 2
 sys.exit(main(["pipeline", "--input", sys.argv[2], "--out", sys.argv[3],
                "--threads", "2"]))
@@ -539,7 +557,7 @@ import os, signal, sys, threading
 from mobgraph import pipeline
 from mobgraph.cli import main
 
-run_task = pipeline._run_task
+run_channel = pipeline._run_channel
 PADDING = bytes(32 << 20)
 handled = threading.Event()
 
@@ -560,13 +578,13 @@ class Interrupt:
         threading.Timer(0.01, os.kill, (os.getppid(), signal.SIGINT)).start()
         return once_interrupted, ()
 
-def padded_document_task(fn, channel, kwargs):
-    result = run_task(fn, channel, kwargs)
+def padded_document_task(fn, *args):
+    result = run_channel(fn, *args)
     if fn.__name__ == "extract_document":
         return result, PADDING, Interrupt()
     return result
 
-pipeline._run_task = padded_document_task
+pipeline._run_channel = padded_document_task
 pipeline._usable_cpus = lambda: 2
 signal.signal(signal.SIGINT, on_interrupt)
 sys.exit(main(["pipeline", "--input", sys.argv[2], "--out", sys.argv[3],
@@ -588,6 +606,68 @@ def test_interrupt_while_a_worker_sends_a_large_result_ends(corpus_dir, tmp_path
     assert (run.returncode, err) == (130, "error: interrupted\n")
     assert files_under(out) == ["INCOMPLETE"]
     assert (out / "INCOMPLETE").read_text() == "failed at stage: wl\ninterrupted\n"
+
+
+# Run by a child interpreter: a pipeline whose census tasks log their pid and
+# sleep, and whose embed stage, once both workers count, is interrupted. The
+# census tasks still queued each carry a table larger than a pipe holds, so
+# the pool's feeder thread is blocked writing one when the workers are killed.
+LARGE_TABLE_RUN = """
+import os, sys, time
+from pathlib import Path
+from mobgraph import embed, pipeline
+from mobgraph.cli import main
+
+run_channel = pipeline._run_channel
+
+def logged_census_task(fn, *args):
+    if fn.__name__ == "clique_census":
+        with open(sys.argv[1], "a", encoding="utf-8") as log:
+            log.write(f"{os.getpid()}\\n")
+        time.sleep(60)
+    return run_channel(fn, *args)
+
+def interrupted_once_both_workers_count(*args, **kwargs):
+    deadline = time.monotonic() + 10
+    log = Path(sys.argv[1])
+    while not (log.exists() and len(log.read_text().split()) == 2):
+        assert time.monotonic() < deadline, "the census tasks never started"
+        time.sleep(0.01)
+    raise KeyboardInterrupt
+
+pipeline._run_channel = logged_census_task
+pipeline._usable_cpus = lambda: 2
+embed.build_vocabulary = interrupted_once_both_workers_count
+sys.exit(main(["pipeline", "--input", sys.argv[2], "--out", sys.argv[3],
+               "--threads", "2"]))
+"""
+
+
+def test_interrupt_while_large_census_tasks_are_queued_ends(tmp_path):
+    # Guards Python 3.10, whose pool does not close its call queue's reader
+    # (the private _call_queue._reader) when its workers die; RunState.close
+    # does. From 3.11 the pool closes it itself, so only a 3.10 interpreter
+    # can fail this test.
+    # 8 channels of 1,000 commenters with 80-character ids, three to a video.
+    records = [CommentRecord(f"ch{c}", f"v{k // 3}", f"{k:080d}", f"ch{c}-{k}")
+               for c in range(8) for k in range(1000)]
+    tables = channel_tables(records)
+    assert min(len(pickle.dumps(table)) for table in tables.values()) > 1 << 16
+    comments = tmp_path / "comments.csv"
+    write_comments_csv(records, comments)
+    out = tmp_path / "run"
+    run = subprocess.Popen(
+        [sys.executable, "-c", LARGE_TABLE_RUN, str(tmp_path / "census.log"),
+         str(comments), str(out)],
+        env=fresh_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        _, err = run.communicate(timeout=30)
+    finally:
+        run.kill()  # its workers die with it
+        run.wait()
+    assert (run.returncode, err) == (130, "error: interrupted\n")
+    assert files_under(out) == ["INCOMPLETE"]
+    assert (out / "INCOMPLETE").read_text() == "failed at stage: embed\ninterrupted\n"
 
 
 @contextlib.contextmanager

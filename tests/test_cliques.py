@@ -19,7 +19,7 @@ from mobgraph.cliques import (
 )
 from mobgraph.errors import CliqueBudgetExceeded, MissingLabel
 from mobgraph.graph import Graph
-from mobgraph.ingest import build_co_commenter_graph
+from mobgraph.ingest import build_co_commenter_graph, channel_tables
 from mobgraph.pipeline import PipelineConfig, RunState, count_cliques, start_census
 
 from conftest import make_graph, neighbours, permuted_copy, random_graph
@@ -317,14 +317,14 @@ def test_budget_boundary_is_exact():
 def test_count_cliques_same_census_for_one_and_two_threads(tmp_path):
     records, _ = synth.generate_corpus(synth.two_family_config(
         n_channels=6, videos_per_channel=15, organic_commenters=30))
-    channels = sorted({r.channel_id for r in records})
-    by_channel = {c: [r for r in records if r.channel_id == c] for c in channels}
+    tables = channel_tables(records)
+    channels = list(tables)
     censuses = {}
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"
         out.mkdir()
         with RunState(PipelineConfig(out=str(out), threads=threads), channels=channels,
-                      records=by_channel) as state:
+                      tables=tables) as state:
             start_census(state)
             count_cliques(state)
         assert [c.channel_id for c in state.censuses] == channels

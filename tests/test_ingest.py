@@ -22,6 +22,7 @@ from mobgraph.gexf import read_gexf, write_gexf
 from mobgraph.ingest import (
     CommentRecord,
     build_co_commenter_graph,
+    channel_tables,
     channels_in,
     parse_comments,
     write_comments_csv,
@@ -106,6 +107,16 @@ def test_duplicate_warn_keeps_first(caplog):
     assert len(records) == 1
     assert records[0] == rec("c1", "v1", "u1", "m1")
     assert any("duplicate" in message for message in caplog.messages)
+
+
+def test_duplicates_give_one_warning(caplog):
+    data = csv_bytes(["c1,v1,u1,m1,,", "c1,v2,u2,m2,,", "c1,v3,u3,m2,,",
+                      "c1,v4,u4,m1,,", "c1,v5,u5,m2,,"])
+    with caplog.at_level("WARNING", logger="mobgraph.ingest"):
+        records = parse_comments(data)
+    assert [(r.video_id, r.comment_id) for r in records] == [("v1", "m1"), ("v2", "m2")]
+    assert caplog.messages == [
+        "dropped 3 record(s) with a duplicate comment_id, the first 'm2' at line 4"]
 
 
 def test_duplicate_error_mode():
@@ -422,9 +433,12 @@ def test_array_build_matches_the_reference(min_shared_videos):
         whole = [dataclasses.replace(r, channel_id="all") for r in records]
         for corpus, channel in [*((records, c) for c in channels_in(records)),
                                 (whole, "all")]:
-            graph = build_co_commenter_graph(corpus, channel, min_shared_videos)
-            assert_matches_reference(
-                graph, reference_co_commenter_graph(corpus, channel, min_shared_videos))
+            reference = reference_co_commenter_graph(corpus, channel, min_shared_videos)
+            table = channel_tables(corpus)[channel]
+            assert table.comments == sum(r.channel_id == channel for r in corpus)
+            for source in (corpus, table):
+                graph = build_co_commenter_graph(source, channel, min_shared_videos)
+                assert_matches_reference(graph, reference)
 
 
 def test_channel_without_shared_videos_is_an_empty_graph(tmp_path):
